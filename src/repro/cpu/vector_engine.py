@@ -23,7 +23,8 @@ model arithmetic:
   observe the difference.
 * **Fused scalar fallback.**  Events that can miss -- plus XMemOp
   boundaries -- run through a scalar path that inlines the engine /
-  hierarchy / DRAM bookkeeping of the exact model into one loop body
+  hierarchy bookkeeping of the exact model into one loop body, with
+  probes, fills and DRAM on the shared :mod:`repro.mem.flat` kernels
   (same operations in the same order, so float accumulation is
   unchanged), instead of descending through six layers of method calls
   per miss.  Classification itself is adaptive: after several
@@ -49,7 +50,7 @@ the ``vector`` lane (:mod:`repro.testing.fuzz`) and pinned per kernel in
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Set
+from typing import Set
 
 try:
     import numpy as _np
@@ -59,6 +60,8 @@ except ImportError:          # pragma: no cover - numpy ships in the image
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
 from repro.dram.system import DramSystem
+from repro.mem import flat
+from repro.mem.flat import dyadic_k
 from repro.mem.cache import Cache, INVALID_TAG
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.mshr import MSHRFile
@@ -88,22 +91,6 @@ SMALL_SEGMENT = 64
 _P_LRU, _P_RRIP, _P_RANDOM = 0, 1, 2
 
 
-def dyadic_k(values, k_max: int = 12) -> Optional[int]:
-    """Smallest ``k`` with every value an integer multiple of ``2**-k``.
-
-    The batch path reorders float additions; that is exact only while
-    every addend and every partial sum is exactly representable, i.e.
-    all time quanta live on one dyadic grid and ``now`` stays small
-    enough that grid points need at most 53 mantissa bits.
-    """
-    for k in range(k_max + 1):
-        scale = 1 << k
-        if all(float(v) * scale == int(v * scale) for v in values):
-            return k
-    return None
-
-_dyadic_k = dyadic_k
-
 _POLICY_KIND = {
     LRUPolicy: _P_LRU,
     SRRIPPolicy: _P_RRIP,
@@ -111,12 +98,6 @@ _POLICY_KIND = {
     DRRIPPolicy: _P_RRIP,
     RandomPolicy: _P_RANDOM,
 }
-
-#: Replacement policies whose hit-path effect :meth:`Cache.apply_hit_run`
-#: can replay in one call.  Shared with the co-run interleaver
-#: (:mod:`repro.sim.corun`), whose batch eligibility gate is the same
-#: argument over a different machine shape.
-BATCHABLE_POLICIES = frozenset(_POLICY_KIND)
 
 
 def eligible(engine: TraceEngine, trace) -> bool:
@@ -167,8 +148,8 @@ def eligible(engine: TraceEngine, trace) -> bool:
     if mem._prefetch_log is not None:
         return False
     timing = mem.dram.timing
-    if _dyadic_k((1.0 / issue, engine.PIPELINED_LATENCY, timing.t_cl,
-                  timing.t_rcd, timing.t_rp, timing.t_burst)) is None:
+    if dyadic_k((1.0 / issue, engine.PIPELINED_LATENCY, timing.t_cl,
+                 timing.t_rcd, timing.t_rp, timing.t_burst)) is None:
         return False
     if any(lat != int(lat) for lat in hier.latencies):
         return False
@@ -197,8 +178,8 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     slot = 1.0 / issue
     pipelined = engine.PIPELINED_LATENCY
     timing_ = dram.timing
-    grid_k = _dyadic_k((slot, pipelined, timing_.t_cl, timing_.t_rcd,
-                        timing_.t_rp, timing_.t_burst))
+    grid_k = dyadic_k((slot, pipelined, timing_.t_cl, timing_.t_rcd,
+                       timing_.t_rp, timing_.t_burst))
     # Exactness ceiling: grid points below 2**(52-k) use <= 52 mantissa
     # bits, so every addition in a batched sum is exact.
     now_limit = float(1 << (52 - grid_k))
@@ -233,8 +214,6 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     line_mask = hier._line_mask
     policy_lv = [c.policy for c in caches]
     pkind_lv = [_POLICY_KIND[type(c.policy)] for c in caches]
-    stamp_lv = [getattr(c.policy, "_stamp", None) for c in caches]
-    rrpv_lv = [getattr(c.policy, "_rrpv", None) for c in caches]
     drrip_lv = [type(c.policy) is DRRIPPolicy for c in caches]
     l1 = caches[0]
     l1_apply_hit_run = l1.apply_hit_run
@@ -242,7 +221,6 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     l1_shift = lshift_lv[0]
     l1_smask = smask_lv[0]
     l1_tshift = tshift_lv[0]
-    l1_nsets = nsets_lv[0]
 
     # -- Memory-system state -----------------------------------------------
     mem_stats = memory.stats
@@ -256,129 +234,23 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     xmem_pf = memory.xmem_prefetcher
     xmem_on_miss = xmem_pf.on_demand_miss if xmem_pf is not None else None
 
-    # -- DRAM state ---------------------------------------------------------
-    addr_bank = dram._addr_bank
-    timing = dram.timing
-    t_burst = timing.t_burst
-    channel_free = dram._channel_free
-    dram_record = dram._record
-    bank_access = None  # resolved per call: Bank.access is a dataclass method
-
+    # -- Flat fill and DRAM kernels ------------------------------------------
     # L1 evictions / new in-flight prefetches performed by scalar events
     # demote later chunk positions out of the batchable set.
     contam: Set[int] = set()
-
-    def dram_read(line: int, t: float) -> float:
-        """Inline of DramSystem.access_completes for a demand/prefetch
-        read (same operations, same order)."""
-        addr, bank = addr_bank(line)
-        busy = bank.busy_until
-        start = t if t > busy else busy
-        outcome = bank.classify(addr.row)
-        data_ready = bank.access(addr.row, start, timing)
-        channel = addr.channel
-        free_at = channel_free[channel]
-        burst_start = data_ready if data_ready > free_at else free_at
-        done = burst_start + t_burst
-        channel_free[channel] = done
-        dram_record(outcome, done - t, False)
-        return done
-
-    def fill_absent(level: int, line: int, dirty: bool, pinned_req: bool,
-                    prefetch: bool) -> Optional[int]:
-        """Inline of Cache.fill_absent (policy hooks included)."""
-        set_idx = (line >> lshift_lv[level]) & smask_lv[level]
-        tag = line >> tshift_lv[level]
-        tags = tags_lv[level][set_idx]
-        dirty_row = dirty_lv[level][set_idx]
-        pinned_row = pinned_lv[level][set_idx]
-        pcounts = pcount_lv[level]
-        stats = cstats_lv[level]
-        pkind = pkind_lv[level]
-        policy = policy_lv[level]
-        writeback = None
-        vcounts = vcount_lv[level]
-        if vcounts[set_idx] < ways_lv[level]:
-            way = tags.index(INVALID_TAG)
-            vcounts[set_idx] += 1
-        else:
-            if pcounts[set_idx]:
-                candidates = [w for w in allways_lv[level]
-                              if not pinned_row[w]]
-                if not candidates:
-                    candidates = allways_lv[level]
-            else:
-                candidates = allways_lv[level]
-            if pkind == _P_LRU:
-                stamp = stamp_lv[level][set_idx]
-                way = min(candidates, key=stamp.__getitem__)
-            elif pkind == _P_RRIP:
-                rrpv = rrpv_lv[level][set_idx]
-                highest = max(map(rrpv.__getitem__, candidates))
-                if highest < RRPV_MAX:
-                    bump = RRPV_MAX - highest
-                    for w in candidates:
-                        rrpv[w] += bump
-                for w in candidates:
-                    if rrpv[w] >= RRPV_MAX:
-                        way = w
-                        break
-            else:
-                way = policy.victim(set_idx, candidates)
-            stats.evictions += 1
-            victim_tag = tags[way]
-            if dirty_row[way]:
-                stats.writebacks += 1
-                writeback = ((victim_tag * nsets_lv[level] + set_idx)
-                             * line_bytes)
-            pfd = pfdtags_lv[level]
-            if pfd:
-                pfd.discard((set_idx, victim_tag))
-            if pinned_row[way]:
-                pinned_row[way] = False
-                pcounts[set_idx] -= 1
-            if pkind == _P_LRU:
-                stamp_lv[level][set_idx][way] = 0
-            elif pkind == _P_RRIP:
-                rrpv_lv[level][set_idx][way] = RRPV_MAX
-            if level == 0:
-                contam.add((victim_tag * l1_nsets + set_idx)
-                           * line_bytes)
-        tags[way] = tag
-        dirty_row[way] = dirty
-        want_pin = pinned_req and pcounts[set_idx] < maxpin_lv[level]
-        if pinned_req and not want_pin:
-            stats.pin_refusals += 1
-        pinned_row[way] = want_pin
-        if want_pin:
-            stats.pinned_fills += 1
-            pcounts[set_idx] += 1
-        if prefetch:
-            stats.prefetch_fills += 1
-            pfdtags_lv[level].add((set_idx, tag))
-        if pkind == _P_LRU:
-            policy._clock += 1
-            stamp_lv[level][set_idx][way] = policy._clock
-        elif pkind == _P_RRIP:
-            if want_pin:
-                rrpv_lv[level][set_idx][way] = 0
-            elif drrip_lv[level]:
-                phase = set_idx % DRRIPPolicy.DUEL_PERIOD
-                if phase == 1 or (phase != 0
-                                  and policy._psel > policy._psel_half):
-                    brrip = policy._brrip
-                    brrip._fill_count += 1
-                    if brrip._fill_count % brrip.LONG_INTERVAL_PERIOD == 0:
-                        rrpv_lv[level][set_idx][way] = RRPV_LONG
-                    else:
-                        rrpv_lv[level][set_idx][way] = RRPV_MAX
-                else:
-                    rrpv_lv[level][set_idx][way] = RRPV_LONG
-            else:
-                policy.on_fill(set_idx, way, high_priority=False)
-        else:
-            policy.on_fill(set_idx, way, high_priority=want_pin)
-        return writeback
+    level_k = [flat.level_kernels(c, on_evict=contam.add if i == 0
+                                  else None)
+               for i, c in enumerate(caches)]
+    acc_lv = [k.access for k in level_k]
+    fa_lv = [k.fill_absent for k in level_k]
+    fill_lv = [k.fill for k in level_k]
+    fa_last = fa_lv[last]
+    tags_last = tags_lv[last]
+    ls_last, sm_last, ts_last = lshift_lv[last], smask_lv[last], \
+        tshift_lv[last]
+    dram_k = flat.dram_kernels(dram)
+    dram_access = dram_k.access
+    addr_bank = dram._addr_bank
 
     def buffer_write(line: int, t: float) -> None:
         mem_stats.writebacks += 1
@@ -387,13 +259,14 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
             drain_writes(t)
 
     def prefetch_fill(line: int, t: float) -> None:
-        """Inline of MemorySystem._prefetch over fill_prefetch_flat."""
-        set_idx = (line >> lshift_lv[last]) & smask_lv[last]
-        if (line >> tshift_lv[last]) in tags_lv[last][set_idx]:
+        """MemorySystem._prefetch over fill_prefetch_flat."""
+        set_idx = (line >> ls_last) & sm_last
+        tag = line >> ts_last
+        if tag in tags_last[set_idx]:
             return
-        wb = fill_absent(last, line, False, pin_predicate(line), True)
+        wb = fa_last(set_idx, tag, False, pin_predicate(line), True)
         mem_stats.prefetch_reads += 1
-        prefetch_ready[line] = dram_read(line, t)
+        prefetch_ready[line] = dram_access(line, t, False)
         contam.add(line)
         if wb is not None:
             buffer_write(wb, t)
@@ -424,51 +297,22 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
             llc_prefetch_hit = False
             for i in range(num_levels):
                 lookup += latencies[i]
-                set_idx = (line >> lshift_lv[i]) & smask_lv[i]
-                tag = line >> tshift_lv[i]
-                tags = tags_lv[i][set_idx]
-                stats = cstats_lv[i]
-                stats.accesses += 1
-                if tag not in tags:
-                    stats.misses += 1
-                    if drrip_lv[i]:
-                        policy = policy_lv[i]
-                        phase = set_idx % DRRIPPolicy.DUEL_PERIOD
-                        if phase == 0:
-                            if policy._psel < policy._psel_max:
-                                policy._psel += 1
-                        elif phase == 1:
-                            if policy._psel > 0:
-                                policy._psel -= 1
-                    continue
-                way = tags.index(tag)
-                stats.hits += 1
-                if is_write and i == 0:
-                    dirty_lv[i][set_idx][way] = True
-                pkind = pkind_lv[i]
-                if pkind == _P_LRU:
-                    policy = policy_lv[i]
-                    policy._clock += 1
-                    stamp_lv[i][set_idx][way] = policy._clock
-                elif pkind == _P_RRIP:
-                    rrpv_lv[i][set_idx][way] = 0
-                pfd = pfdtags_lv[i]
-                if pfd:
-                    key = (set_idx, tag)
-                    if key in pfd:
-                        stats.prefetch_hits += 1
-                        pfd.discard(key)
-                        if i == last:
-                            llc_prefetch_hit = True
-                hit_level = i
-                break
+                outcome = acc_lv[i]((line >> lshift_lv[i]) & smask_lv[i],
+                                    line >> tshift_lv[i],
+                                    is_write and i == 0)
+                if outcome:
+                    if outcome == flat.HIT_PREFETCHED and i == last:
+                        llc_prefetch_hit = True
+                    hit_level = i
+                    break
             mem_wbs = None
             if hit_level != 0:
                 top = hit_level if hit_level is not None else num_levels
                 for i in range(top - 1, -1, -1):
                     pinned = i == last and pin_predicate(line)
-                    wb = fill_absent(i, line, bool(is_write) and i == 0,
-                                     pinned, False)
+                    wb = fa_lv[i]((line >> lshift_lv[i]) & smask_lv[i],
+                                  line >> tshift_lv[i],
+                                  bool(is_write) and i == 0, pinned, False)
                     if wb is not None:
                         j = i + 1
                         while True:
@@ -477,23 +321,16 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
                                     mem_wbs = []
                                 mem_wbs.append(wb)
                                 break
-                            # Cache.fill: merge if resident, else
-                            # fill_absent (ripple victims may land on
-                            # resident lines).
-                            sj = (wb >> lshift_lv[j]) & smask_lv[j]
-                            tj = wb >> tshift_lv[j]
-                            wj = tags_lv[j][sj]
-                            if tj in wj:
-                                dirty_lv[j][sj][wj.index(tj)] = True
-                                break
-                            wb = fill_absent(j, wb, True, False, False)
+                            # Ripple victims may land on resident lines:
+                            # the merging fill.
+                            wb = fill_lv[j](wb, True, False)
                             if wb is None:
                                 break
                             j += 1
             t_lookup = now + lookup
             memory_read = hit_level is None
             if memory_read:
-                completes = dram_read(line, t_lookup)
+                completes = dram_access(line, t_lookup, False)
                 if prefetch_ready:
                     prefetch_ready.pop(line, None)
                 if is_write:
@@ -1095,8 +932,14 @@ def run_vector(engine: TraceEngine, trace) -> EngineStats:
     heavy_scalar = specialized_range if use_specialized else scalar_range
 
     def flush_deferred() -> None:
-        """Fold the specialized loop's local counters into the stats
-        objects (exact: every counter is a commutative sum)."""
+        """Fold the deferred counters -- the flat kernels' and the
+        specialized loop's locals -- into the stats objects (exact:
+        every counter is a commutative sum on the dyadic grid)."""
+        for kernels in level_k:
+            kernels.flush()
+        dram_k.flush()
+        if not use_specialized:
+            return
         s0, s1, s2 = cstats_lv
         s0.accesses += c0a
         s0.hits += c0h

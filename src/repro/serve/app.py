@@ -253,6 +253,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a reply leaves as headers then body, and with
+    #: Nagle on the body waits for the client's delayed ACK (~40 ms
+    #: per keep-alive request).
+    disable_nagle_algorithm = True
 
     @property
     def state(self) -> ServerState:
@@ -583,9 +587,9 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(b"%x\r\n" % len(data))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
+        # One write per chunk: size line, data and trailer in a single
+        # segment.
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
         self.wfile.flush()
 
     # -- JSON plumbing ----------------------------------------------------

@@ -33,17 +33,36 @@ Two interleavers evaluate the same model:
     accumulation), so the core yields control only at *yield points*:
     accesses that can leave the L1 (they may ripple writebacks into
     the shared LLC/DRAM or consume shared prefetch state) and XMemOps
-    (they can retrigger the global pinning decision).  Yield points
-    execute through the very same ``_access`` path as the legacy
-    loop, so shared-resource contention still interleaves in
-    timestamp order with the legacy tie-break (lowest core index) and
-    the per-core :class:`CoreStats` are bit-identical.
+    (they can retrigger the global pinning decision).  Shared-resource
+    contention still interleaves in timestamp order with the legacy
+    tie-break (lowest core index), so the per-core :class:`CoreStats`
+    and the whole stats tree are bit-identical.
 
 Private events commute with other cores' shared events (disjoint
 state), which is why the packed engine may apply a core's private
 prefix eagerly while sibling cores are still behind in model time:
 only the *order of shared interactions* is observable, and the heap
 reproduces the legacy order exactly.
+
+How ``run_packed`` executes a yield point:
+
+* **Fused yield kernel.**  A yielded access is a known L1 miss.  On the
+  shipped machine shape (:meth:`CorunSystem.fused_eligible`: LRU L1s,
+  DRRIP L2s and LLC, no checked wrappers) it runs on a per-core
+  closure built once per run over the flat tables, from the
+  :mod:`repro.mem.flat` probe, fill and DRAM kernels shared with the
+  vector tier.  Statistics accumulate in closure locals and are
+  flushed once when the run ends, before anything can snapshot
+  them.  Every other shape executes yield points through ``_access``,
+  the object path ``run_events`` uses.
+* **Run-ahead.**  After a yield point, the same core keeps running
+  while its ``(now, index)`` is still below the heap top.  This is
+  exact: that core is what the heap would pop next under the legacy
+  tie-break.  A live L1 probe of the next dense position sends a
+  miss-after-miss straight back to the kernel without the planner.
+* **``REPRO_CHECK`` fallback.**  With ``REPRO_CHECK=1`` the fused
+  kernel is off, so every cache and MSHR operation passes through the
+  checked object methods and their invariant hooks.
 """
 
 from __future__ import annotations
@@ -60,6 +79,7 @@ except ImportError:          # pragma: no cover - numpy ships in the image
 from repro.core.errors import ConfigurationError
 from repro.core.stats import iter_stat_groups
 from repro.core.xmemlib import XMemLib
+from repro.cpu.engine import TraceEngine
 from repro.cpu.tiers import corun_tier
 from repro.cpu.trace import (
     MemAccess,
@@ -71,13 +91,21 @@ from repro.cpu.trace import (
     Work,
     XMemOp,
 )
-from repro.cpu.vector_engine import BATCHABLE_POLICIES, dyadic_k
 from repro.dram.system import DramSystem
+from repro.mem import flat
 from repro.mem.cache import Cache
-from repro.mem.replacement import LRUPolicy, RandomPolicy
+from repro.mem.flat import dyadic_k
+from repro.mem.replacement import (
+    BRRIPPolicy,
+    DRRIPPolicy,
+    LRUPolicy,
+    RandomPolicy,
+    SRRIPPolicy,
+)
 from repro.mem.mshr import MSHRFile
 from repro.mem.prefetch import MultiStridePrefetcher, XMemPrefetcher
 from repro.sim.config import SimConfig
+from repro.testing import checks as _checks
 
 #: Address-space stride between co-running applications.
 APP_SPACE = 1 << 40
@@ -91,6 +119,10 @@ _ADDR_BOUND = 1 << 61
 
 # Yield kinds of a planned cursor.
 _Y_MEM, _Y_XMEM, _Y_END = 0, 1, 2
+
+#: L1 policies whose hit effect the planner's walk writes inline.
+_HIT_WALK_POLICIES = (LRUPolicy, RandomPolicy, SRRIPPolicy, BRRIPPolicy,
+                      DRRIPPolicy)
 
 
 @dataclass
@@ -140,14 +172,15 @@ class _Core:
 class _PackedCursor:
     """Per-core interleaver state over one :class:`PackedTrace`.
 
-    Holds the dense position / XMemOp index pair, the planned yield
+    Holds the dense position / XMemOp index pair (plus the dense
+    position of that next XMemOp, or ``n_dense``), the planned yield
     kind, and the current decomposition chunk: per-position set index,
     tag, line key, work count and write flag, pre-split from the
     packed columns in one vectorized pass (numpy planner only).
     """
 
     __slots__ = ("core", "trace", "tv", "tm", "xmem", "n_dense", "n_x",
-                 "pos", "xi", "kind", "va", "me",
+                 "pos", "xi", "xnext", "kind", "va", "me",
                  "cbase", "cend",
                  "csets_l", "ctags_l", "cmem_l", "clkey_l", "cwrite_l",
                  "ccum_l", "cmcum_l")
@@ -162,6 +195,7 @@ class _PackedCursor:
         self.n_x = len(trace.xmem)
         self.pos = 0
         self.xi = 0
+        self.xnext = self.xmem[0][0] if self.n_x else self.n_dense
         self.kind = _Y_END
         self.va = None
         self.me = None
@@ -417,7 +451,7 @@ class CorunSystem:
             completes = self._access(core, ev.vaddr + core.offset,
                                      ev.is_write)
             latency = completes - core.now
-            if latency > 4.0:
+            if latency > TraceEngine.PIPELINED_LATENCY:
                 start = core.mshr.reserve(core.now, completes)
                 core.now = max(core.now, start) + 1.0 / issue
             else:
@@ -456,15 +490,16 @@ class CorunSystem:
             l1 = core.l1
             if type(l1) is not Cache or l1._line_shift is None:
                 return False
-            if type(l1.policy) not in BATCHABLE_POLICIES:
+            if type(l1.policy) not in _HIT_WALK_POLICIES:
                 return False
             if l1._prefetched_tags:
                 return False
             lats.append(float(core.l1_lat))
             lats.append(float(core.l2_lat))
         timing = self.dram.timing
-        k = dyadic_k((1.0 / issue, 1.0, 4.0, timing.t_cl, timing.t_rcd,
-                      timing.t_rp, timing.t_burst, *lats))
+        k = dyadic_k((1.0 / issue, 1.0, TraceEngine.PIPELINED_LATENCY,
+                      timing.t_cl, timing.t_rcd, timing.t_rp,
+                      timing.t_burst, *lats))
         if k is None:
             return False
         # Grid points below 2**(52-k) carry <= 52 mantissa bits, so
@@ -472,11 +507,189 @@ class CorunSystem:
         self._now_limit = float(1 << (52 - k))
         return True
 
+    def fused_eligible(self) -> bool:
+        """Whether yield points may run on the fused kernel.
+
+        The kernel is written for the shipped machine shape: LRU
+        private L1s, DRRIP private L2s and a DRRIP shared LLC (with
+        shift-decomposable geometry), and no pinned or prefetched lines
+        in the private levels (co-run pins and prefetches only into the
+        LLC).  ``REPRO_CHECK=1`` -- or components built under it, which
+        carry checked wrappers -- keeps the object path, so the
+        invariant hooks see every operation.  Any other shape runs yield points through
+        :meth:`_access`, the same model.
+        """
+        if _checks.enabled():
+            return False
+        shapes = [(self.llc, DRRIPPolicy)]
+        for core in self.cores:
+            if "reserve" in vars(core.mshr):
+                return False
+            for cache in (core.l1, core.l2):
+                if any(cache._pinned_counts) or cache._prefetched_tags:
+                    return False
+            shapes += [(core.l1, LRUPolicy), (core.l2, DRRIPPolicy)]
+        return all(type(cache.policy) is policy
+                   and cache._line_shift is not None
+                   and "fill" not in vars(cache)
+                   for cache, policy in shapes)
+
+    def _build_fused(self):
+        """The fused yield kernel: one executor per core plus the flush.
+
+        Each executor runs one yielded dense MemAccess -- a known L1
+        miss -- end to end: :meth:`_access` (private L2 probe, shared
+        LLC probe, stride and XMem prefetches, DRAM), the private fills
+        with their writeback ripple, and the engine's MSHR step, in
+        :meth:`_access`'s order.  Cache probes and fills and DRAM go
+        through the :mod:`repro.mem.flat` kernels.  Counters accumulate
+        in closure locals and reach the stats objects when the returned
+        ``flush`` runs, once, at the end of the run.  That is exact:
+        the integer counters are sums, and every DRAM latency lies on
+        the dyadic grid :meth:`packed_eligible` checked, so the float
+        latency sums do not round while they stay below the same
+        ``2**(52-k)`` ceiling as model time.
+        """
+        issue = self._issue
+        slot = 1.0 / issue
+        pipelined = TraceEngine.PIPELINED_LATENCY
+        line_mask = ~(self._line_bytes - 1)
+        llc = self.llc
+        llc_k = flat.level_kernels(llc)
+        acc3 = llc_k.access
+        llc_fa = llc_k.fill_absent
+        llc_fill = llc_k.fill
+        dram_k = flat.dram_kernels(self.dram)
+        dram = dram_k.access
+        tags3 = llc._tags
+        ls3, sm3, ts3 = llc._line_shift, llc._set_mask, llc._tag_shift
+        llc_lat = self.llc_lat
+        prefetch_ready = self._prefetch_ready
+        ready_pop = prefetch_ready.pop
+        observe = (self.stride_pf.observe if self.stride_pf is not None
+                   else None)
+        no_pin = not self.controller._apps
+        pin_predicate = self.controller.pin_predicate
+        flushes = [llc_k.flush, dram_k.flush]
+
+        def prefetch(line: int, now: float) -> None:
+            """:meth:`_prefetch`."""
+            si = (line >> ls3) & sm3
+            tg = line >> ts3
+            if tg in tags3[si]:
+                return
+            prefetch_ready[line] = dram(line, now, False)
+            wb = llc_fa(si, tg, False,
+                        False if no_pin else pin_predicate(line), True)
+            if wb is not None:
+                dram(wb, now, True)
+
+        def build(core: _Core):
+            l1, l2 = core.l1, core.l2
+            l1_k = flat.level_kernels(l1)
+            l2_k = flat.level_kernels(l2)
+            flushes.extend((l1_k.flush, l2_k.flush))
+            fa1 = l1_k.fill_absent
+            acc2 = l2_k.access
+            fa2 = l2_k.fill_absent
+            fill2 = l2_k.fill
+            ls1, sm1, ts1 = l1._line_shift, l1._set_mask, l1._tag_shift
+            ls2, sm2, ts2 = l2._line_shift, l2._set_mask, l2._tag_shift
+            l1_lat = core.l1_lat
+            l2_lat = core.l2_lat
+            offset = core.offset
+            reserve = core.mshr.reserve
+            on_miss = (core.xmem_pf.on_demand_miss
+                       if core.xmem_pf is not None else None)
+            instructions = accesses = llc_misses = 0
+
+            def execute(vaddr: int, m: int) -> None:
+                nonlocal instructions, accesses, llc_misses
+                now = core.now
+                work = m >> META_COUNT_SHIFT
+                if work:
+                    now += work / issue
+                instructions += work + 1
+                accesses += 1
+                line = (vaddr + offset) & line_mask
+                w = (m & META_WRITE_BIT) != 0
+                t = now + l1_lat
+                si2 = (line >> ls2) & sm2
+                tg2 = line >> ts2
+                if acc2(si2, tg2, False):
+                    # L2 hit: only the L1 fills.
+                    completes = t + l2_lat
+                else:
+                    t += l2_lat
+                    hit3 = acc3((line >> ls3) & sm3, line >> ts3, False)
+                    t += llc_lat
+                    if observe is not None:
+                        for target in observe(line):
+                            prefetch(target, now)
+                    if hit3:
+                        ready = ready_pop(line, None)
+                        if ready is not None and ready > t:
+                            t = ready
+                        completes = t
+                    else:
+                        llc_misses += 1
+                        completes = dram(line, t, False)
+                        ready_pop(line, None)
+                        wb = llc_fill(line, False,
+                                      False if no_pin
+                                      else pin_predicate(line))
+                        if wb is not None:
+                            dram(wb, t, True)
+                        if on_miss is not None:
+                            for target in on_miss(line):
+                                prefetch(target, now)
+                    wb = fa2(si2, tg2, False, False, False)
+                    if wb is not None:
+                        wb = llc_fill(wb, True, False)
+                        if wb is not None:
+                            dram(wb, now, True)
+                wb = fa1((line >> ls1) & sm1, line >> ts1, w, False, False)
+                if wb is not None:
+                    wb = fill2(wb, True, False)
+                    if wb is not None:
+                        wb = llc_fill(wb, True, False)
+                        if wb is not None:
+                            dram(wb, now, True)
+                if completes - now > pipelined:
+                    start = reserve(now, completes)
+                    if start > now:
+                        now = start
+                core.now = now + slot
+
+            def flush() -> None:
+                nonlocal instructions, accesses, llc_misses
+                stats = core.stats
+                stats.instructions += instructions
+                stats.mem_accesses += accesses
+                stats.llc_misses += llc_misses
+                l1s = l1.stats
+                l1s.accesses += accesses
+                l1s.misses += accesses
+                instructions = accesses = llc_misses = 0
+
+            flushes.append(flush)
+            return execute
+
+        executors = [build(core) for core in self.cores]
+
+        def flush() -> None:
+            for f in flushes:
+                f()
+
+        return executors, flush
+
     def run_packed(self, traces: Sequence[PackedTrace]) -> List[CoreStats]:
         """The heap-scheduled batched interleaver.
 
         Bit-identical to :meth:`run_events` on the same traces; falls
-        back to it whenever :meth:`packed_eligible` says no.
+        back to it whenever :meth:`packed_eligible` says no.  Yield
+        points run on the fused kernel when :meth:`fused_eligible`
+        says yes, else through :meth:`_access`.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
@@ -491,67 +704,110 @@ class CorunSystem:
         for core in self.cores:
             core.trace = None
             core.done = False
-        issue = self.config.cpu.issue_width
-        self._issue = issue
+        self._issue = self.config.cpu.issue_width
         cursors = [_PackedCursor(core, trace)
                    for core, trace in zip(self.cores, traces)]
+        if self.fused_eligible():
+            executors, flush = self._build_fused()
+        else:
+            executors = [self._object_executor(core) for core in self.cores]
+            flush = None
+        try:
+            self._schedule(cursors, executors)
+        finally:
+            if flush is not None:
+                flush()
+        return [c.stats for c in self.cores]
+
+    def _schedule(self, cursors: List[_PackedCursor], executors) -> None:
+        """The heap loop: pop the core with the smallest ``(now, index)``
+        and run it from yield point to yield point.
+
+        Run-ahead: after a yield point (and the private stretch planned
+        behind it), the same core keeps running while its
+        ``(now, index)`` is still below the heap top -- pushing it would
+        pop it straight back, so skipping the round trip is exact.  A
+        live probe of the next dense position catches a second L1 miss
+        in a row without the planner's prologue.
+        """
+        slot = 1.0 / self._issue
+        plan = self._plan
         heap: List[Tuple[float, int]] = []
         for cur in cursors:
-            self._plan(cur)
+            plan(cur)
             heappush(heap, (cur.core.now, cur.core.index))
         while heap:
             _, idx = heappop(heap)
             cur = cursors[idx]
             core = cur.core
-            kind = cur.kind
-            if kind == _Y_END:
-                tail = core.mshr.latest_completion()
-                if tail is not None and tail > core.now:
-                    core.now = tail
-                core.mshr.flush()
-                core.stats.cycles = core.now
-                core.done = True
-                continue
-            if kind == _Y_XMEM:
-                op = cur.xmem[cur.xi][1]
-                core.stats.instructions += 1
-                core.now += 1.0 / issue
-                if core.xmemlib is not None:
-                    getattr(core.xmemlib, op.method)(*op.args)
-                cur.xi += 1
-            else:
-                self._exec_packed_event(cur)
-            self._plan(cur)
-            heappush(heap, (core.now, idx))
-        return [c.stats for c in self.cores]
+            execute = executors[idx]
+            tv = cur.tv
+            tm = cur.tm
+            l1_tags = core.l1._tags
+            while True:
+                kind = cur.kind
+                if kind == _Y_MEM:
+                    pos = cur.pos
+                    execute(tv[pos], tm[pos])
+                    pos += 1
+                    cur.pos = pos
+                    if pos < cur.cend and pos < cur.xnext:
+                        i = pos - cur.cbase
+                        if not (cur.cmem_l[i] and cur.ctags_l[i]
+                                not in l1_tags[cur.csets_l[i]]):
+                            plan(cur)
+                    else:
+                        plan(cur)
+                elif kind == _Y_XMEM:
+                    op = cur.xmem[cur.xi][1]
+                    core.stats.instructions += 1
+                    core.now += slot
+                    if core.xmemlib is not None:
+                        getattr(core.xmemlib, op.method)(*op.args)
+                    cur.xi += 1
+                    cur.xnext = (cur.xmem[cur.xi][0] if cur.xi < cur.n_x
+                                 else cur.n_dense)
+                    plan(cur)
+                else:
+                    tail = core.mshr.latest_completion()
+                    if tail is not None and tail > core.now:
+                        core.now = tail
+                    core.mshr.flush()
+                    core.stats.cycles = core.now
+                    core.done = True
+                    break
+                if heap and (core.now, idx) > heap[0]:
+                    heappush(heap, (core.now, idx))
+                    break
 
-    def _exec_packed_event(self, cur: _PackedCursor) -> None:
-        """Execute the dense event at ``cur.pos`` with the legacy
-        arithmetic (same operations, same order as :meth:`_step`)."""
-        core = cur.core
+    def _object_executor(self, core: _Core):
+        """Execute one yielded dense MemAccess through :meth:`_access`,
+        with the legacy arithmetic (same operations, same order as
+        :meth:`_step`).  Yield points are always MemAccesses: the
+        planner consumes Work blocks."""
+        access = self._access
         issue = self._issue
-        pos = cur.pos
-        m = cur.tm[pos]
-        cur.pos = pos + 1
-        if m & META_WORK_BIT:
-            count = m >> META_COUNT_SHIFT
-            core.now += count / issue
-            core.stats.instructions += count
-            return
-        work = m >> META_COUNT_SHIFT
-        if work:
-            core.now += work / issue
-            core.stats.instructions += work
-        core.stats.instructions += 1
-        core.stats.mem_accesses += 1
-        addr = cur.tv[pos] + core.offset
-        completes = self._access(core, addr, bool(m & META_WRITE_BIT))
-        latency = completes - core.now
-        if latency > 4.0:
-            start = core.mshr.reserve(core.now, completes)
-            core.now = max(core.now, start) + 1.0 / issue
-        else:
-            core.now += 1.0 / issue
+        pipelined = TraceEngine.PIPELINED_LATENCY
+        stats = core.stats
+        offset = core.offset
+        reserve = core.mshr.reserve
+
+        def execute(vaddr: int, m: int) -> None:
+            work = m >> META_COUNT_SHIFT
+            if work:
+                core.now += work / issue
+                stats.instructions += work
+            stats.instructions += 1
+            stats.mem_accesses += 1
+            completes = access(core, vaddr + offset,
+                               bool(m & META_WRITE_BIT))
+            if completes - core.now > pipelined:
+                start = reserve(core.now, completes)
+                core.now = max(core.now, start) + 1.0 / issue
+            else:
+                core.now += 1.0 / issue
+
+        return execute
 
     def _plan(self, cur: _PackedCursor) -> None:
         """Fast-forward the core's private prefix and record the next
@@ -565,14 +821,13 @@ class CorunSystem:
         n_dense = cur.n_dense
         while True:
             pos = cur.pos
-            if cur.xi < cur.n_x and cur.xmem[cur.xi][0] <= pos:
+            if cur.xi < cur.n_x and cur.xnext <= pos:
                 cur.kind = _Y_XMEM
                 return
             if pos >= n_dense:
                 cur.kind = _Y_END
                 return
-            bound = cur.xmem[cur.xi][0] if cur.xi < cur.n_x else n_dense
-            if not self._advance(cur, bound):
+            if not self._advance(cur, cur.xnext):
                 cur.kind = _Y_MEM
                 return
             # Reached the bound: loop to emit the XMemOp / END, or to
@@ -751,7 +1006,7 @@ class CorunSystem:
             stats.mem_accesses += 1
             l1.access(ga - ga % lb, bool(m & META_WRITE_BIT))
             # L1 hit: completes - now is the 1.0 L1 latency, which
-            # never exceeds the 4.0 MSHR threshold.
+            # never exceeds the PIPELINED_LATENCY MSHR threshold.
             core.now += 1.0 / issue
             pos += 1
         cur.pos = pos
@@ -802,7 +1057,7 @@ class CorunSystem:
             if work:
                 core.now += work / issue
             # L1 hit: completes - now is the 1.0 L1 latency, which
-            # never exceeds the 4.0 MSHR threshold.
+            # never exceeds the PIPELINED_LATENCY MSHR threshold.
             core.now += 1.0 / issue
         core.stats.instructions += total + n_mem
         core.stats.mem_accesses += n_mem

@@ -10,6 +10,8 @@ outside it must fall back to the packed loop rather than answer
 wrongly.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -43,9 +45,9 @@ def mixed_events():
     ]
 
 
-def _pair(kernel, system_builder, with_lib):
+def _pair(kernel, system_builder, with_lib, cfg=None):
     """(packed handle+stats, vector handle+stats) on twin machines."""
-    cfg = scaled_config(32)
+    cfg = cfg if cfg is not None else scaled_config(32)
     h_pk = system_builder(cfg)
     packed_a = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)
     trace_a = packed_a if with_lib else packed_a.without_xmem()
@@ -85,6 +87,17 @@ def test_vector_equals_packed_checked_mode(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "1")
     h_pk, pk_stats, h_vec, vec_stats = _pair(
         KERNELS["gemm"], build_xmem, with_lib=True)
+    assert vec_stats == pk_stats
+    assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
+
+
+def test_vector_equals_packed_two_levels():
+    """A two-level hierarchy runs the generic path end to end (the
+    specialized loop needs three levels)."""
+    cfg = scaled_config(32)
+    cfg = replace(cfg, levels=cfg.levels[:2])
+    h_pk, pk_stats, h_vec, vec_stats = _pair(
+        KERNELS["gemm"], build_xmem, with_lib=True, cfg=cfg)
     assert vec_stats == pk_stats
     assert h_vec.stats_snapshot() == h_pk.stats_snapshot()
 

@@ -3,11 +3,14 @@
 The heap-scheduled batched engine (:meth:`CorunSystem.run_packed`)
 must be bit-identical to the legacy ``run_events`` loop -- CoreStats
 and the full stats snapshot -- on real suite-catalog tenant mixes,
-baseline and XMem.  Plus unit coverage of the global pin controller's
-budget edge cases.
+baseline and XMem, whether its yield points run on the fused kernel or
+(for machine shapes outside the kernel's gate) through ``_access``.
+Plus unit coverage of the global pin controller's budget edge cases.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -25,10 +28,14 @@ PAIRS = [
 ]
 
 
-def run_pair(names, mode, engine, accesses=2500, footprint_div=256):
+MISS_MIX = ("mcf", "lbm", "libquantum", "omnetpp")
+
+
+def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
+             cfg=None, xmem_tenants=(0,)):
     """One mix through the selected engine (None = ``run`` dispatch)."""
-    cfg = scaled_config(32)
-    xmem = (0,) if mode == "xmem" else ()
+    cfg = cfg if cfg is not None else scaled_config(32)
+    xmem = xmem_tenants if mode == "xmem" else ()
     system = CorunSystem(cfg, len(names), xmem_cores=xmem)
     traces = []
     for core, name in zip(system.cores, names):
@@ -55,6 +62,98 @@ def test_packed_bit_identical_to_legacy(names, mode):
             legacy.cycles, legacy.instructions,
             legacy.mem_accesses, legacy.llc_misses)
     assert snap_obj == snap_packed
+
+
+def assert_identical(legacy, packed):
+    (stats_obj, snap_obj), (stats_packed, snap_packed) = legacy, packed
+    assert stats_packed == stats_obj
+    assert snap_packed == snap_obj
+
+
+@pytest.fixture
+def fused_calls(monkeypatch):
+    """Counts the runs whose yield points took the fused kernel."""
+    calls = []
+    build = CorunSystem._build_fused
+
+    def counting(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(CorunSystem, "_build_fused", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["baseline", "xmem"])
+def test_fused_miss_mix_bit_identical(mode, fused_calls):
+    """The 4-tenant miss mix, XMem on tenants 0 and 2: the fused
+    kernel must reproduce the oracle's CoreStats and snapshot."""
+    kw = dict(accesses=1500, xmem_tenants=(0, 2))
+    legacy = run_pair(MISS_MIX, mode, "object", **kw)
+    packed = run_pair(MISS_MIX, mode, "packed", **kw)
+    assert len(fused_calls) == 1
+    assert_identical(legacy, packed)
+    # Non-vacuity: the mix exercises writebacks to DRAM, LLC
+    # prefetches and (under XMem) pinned fills.
+    snap = packed[1]
+    assert snap["dram"]["writes"] > 0
+    assert snap["llc"]["prefetch_fills"] > 0
+    if mode == "xmem":
+        assert snap["llc"]["pinned_fills"] > 0
+
+
+def _lru_llc(cfg):
+    levels = list(cfg.levels)
+    levels[-1] = replace(levels[-1], policy="lru")
+    return replace(cfg, levels=levels)
+
+
+def _no_prefetcher(cfg):
+    return replace(cfg, prefetcher=replace(cfg.prefetcher, enabled=False))
+
+
+def test_fused_without_stride_prefetcher(fused_calls):
+    """The stride prefetcher is optional inside the kernel: with it
+    off, yield points still take the fused path and equal the
+    oracle."""
+    kw = dict(accesses=800, xmem_tenants=(0, 2),
+              cfg=_no_prefetcher(scaled_config(32)))
+    legacy = run_pair(MISS_MIX, "xmem", "object", **kw)
+    packed = run_pair(MISS_MIX, "xmem", "packed", **kw)
+    assert len(fused_calls) == 1
+    assert_identical(legacy, packed)
+
+
+@pytest.mark.parametrize("shape", ["lru-llc", "checked"])
+def test_fallback_shapes_match_oracle(shape, monkeypatch):
+    """Shapes outside the fused kernel's gate run yield points through
+    ``_access`` and still equal the oracle."""
+    def refuse(self):
+        raise AssertionError(f"fused kernel taken for shape {shape!r}")
+
+    monkeypatch.setattr(CorunSystem, "_build_fused", refuse)
+    cfg = scaled_config(32)
+    if shape == "lru-llc":
+        cfg = _lru_llc(cfg)
+    else:
+        monkeypatch.setenv("REPRO_CHECK", "1")
+    kw = dict(accesses=800, xmem_tenants=(0, 2), cfg=cfg)
+    legacy = run_pair(MISS_MIX, "xmem", "object", **kw)
+    packed = run_pair(MISS_MIX, "xmem", "packed", **kw)
+    system = CorunSystem(cfg, 2)
+    assert system.packed_eligible() and not system.fused_eligible()
+    assert_identical(legacy, packed)
+
+
+def test_run_ahead_tie_break(fused_calls):
+    """Two identical tenants sit at equal ``now`` until the shared
+    levels separate them: the run-ahead rule must keep the legacy
+    lowest-index tie-break."""
+    names = ("lbm", "lbm")
+    legacy = run_pair(names, "baseline", "object", accesses=1500)
+    packed = run_pair(names, "baseline", "packed", accesses=1500)
+    assert len(fused_calls) == 1
+    assert_identical(legacy, packed)
 
 
 def test_run_dispatch_honours_engine_tier(monkeypatch):
