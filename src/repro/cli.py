@@ -128,7 +128,7 @@ def cmd_sweep(args) -> int:
     import os
     from pathlib import Path
 
-    from repro.cpu.tiers import ENGINE_TIERS, EXACT_TIERS
+    from repro.cpu.tiers import ENGINE_TIERS
     from repro.sim.runner import (
         SYSTEM_BUILDERS,
         ScenarioPoint,
@@ -146,10 +146,6 @@ def cmd_sweep(args) -> int:
         # Through the environment (not an argument) so pool workers
         # inherit it, and so the manifest provenance records it.
         os.environ["REPRO_ENGINE"] = args.engine
-        if args.engine not in EXACT_TIERS:
-            print(f"note: {args.engine} is an estimating tier; "
-                  f"results are approximate (see docs/simulator.md)",
-                  file=sys.stderr)
 
     if args.kernels == "all":
         kernels = list(FIGURE4_KERNELS)
@@ -237,7 +233,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_corun(args) -> int:
     """Run one multi-tenant mix on the shared-LLC co-run engine."""
-    import os
     from pathlib import Path
 
     from repro.sim.runner import (
@@ -281,13 +276,6 @@ def cmd_corun(args) -> int:
         print(f"--xmem-tenants {xmem} outside the "
               f"{len(tenants)}-tenant mix", file=sys.stderr)
         return 2
-    if args.engine:
-        if args.engine not in ("object", "packed"):
-            print(f"unknown co-run engine {args.engine!r}; "
-                  f"choices: object, packed", file=sys.stderr)
-            return 2
-        # Via the environment so the manifest provenance records it.
-        os.environ["REPRO_ENGINE"] = args.engine
     point = CorunPoint(tenants=tenants, accesses=args.accesses,
                        scale=args.scale, xmem_tenants=xmem,
                        footprint_div=args.footprint_div)
@@ -325,9 +313,9 @@ def _load_stats_docs(target: "Path") -> Optional[dict]:
     Only the ``stats`` subtree of each document participates in diffs:
     manifests legitimately differ between runs (wall times, RSS,
     cache hit counts) while the stats must not.  The engine tier is the
-    one manifest field the diff *does* consult: comparing documents
-    produced by different tiers is flagged instead of being reported as
-    spurious counter deltas (pre-tier documents carry None).
+    one manifest field the diff *does* consult: a comparison of
+    documents produced by different tiers is noted above its deltas
+    (pre-tier documents carry None).
     """
     import json
     from pathlib import Path
@@ -363,7 +351,6 @@ def cmd_diff(args) -> int:
     Exit status: 0 = zero deltas (the determinism gate passes), 1 =
     deltas found, 2 = unreadable/mismatched inputs.
     """
-    from repro.cpu.tiers import EXACT_TIERS
     from repro.sim.stats import diff_stats
 
     docs_a = _load_stats_docs(args.run_a)
@@ -379,28 +366,16 @@ def cmd_diff(args) -> int:
             print(f"only in {args.run_b}: {name}", file=sys.stderr)
         return 2
     total = 0
-    cross_tier = 0
     for name in sorted(docs_a):
         stats_a, tier_a = docs_a[name]
         stats_b, tier_b = docs_b[name]
         if tier_a != tier_b:
-            if tier_a in EXACT_TIERS and tier_b in EXACT_TIERS:
-                # Exact tiers are bit-identical by contract: note the
-                # tier difference but hold the counters to zero deltas
-                # as usual (this diff *is* the equivalence gate).
-                print(f"{name}: note: cross-tier comparison of exact "
-                      f"tiers ({tier_a} vs {tier_b}); deltas below "
-                      f"are real")
-            else:
-                # An estimating (or unrecorded) tier is involved: the
-                # deltas are estimation error, not nondeterminism --
-                # flag the comparison instead of dumping them.
-                print(f"{name}: cross-tier comparison "
-                      f"({tier_a or 'pre-tier'} vs "
-                      f"{tier_b or 'pre-tier'}); counter deltas "
-                      f"suppressed")
-                cross_tier += 1
-                continue
+            # Every tier is exact: note the tier difference but hold
+            # the counters to zero deltas as usual (this diff *is* the
+            # equivalence gate).
+            print(f"{name}: note: cross-tier comparison of exact "
+                  f"tiers ({tier_a} vs {tier_b}); deltas below "
+                  f"are real")
         # One document holds {system: snapshot}; prefix group paths
         # with the system name so the flat keys are fully qualified.
         flat_a = {f"{system}.{path}": values
@@ -413,14 +388,9 @@ def cmd_diff(args) -> int:
         for key, va, vb in deltas:
             print(f"{name}: {key}: {va} != {vb}")
         total += len(deltas)
-    if total or cross_tier:
-        if total:
-            print(f"\n{total} counter delta(s) across {len(docs_a)} "
-                  f"document(s)")
-        if cross_tier:
-            print(f"{cross_tier} cross-tier document pair(s) flagged "
-                  f"(rerun both sides on the same --engine to diff "
-                  f"counters)")
+    if total:
+        print(f"\n{total} counter delta(s) across {len(docs_a)} "
+              f"document(s)")
         return 1
     print(f"identical stats: {len(docs_a)} document(s), zero deltas")
     return 0
@@ -578,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write one manifest+stats JSON document per "
                          "point into DIR")
     sw.add_argument("--engine", default=None,
-                    help="engine tier: object | packed | vector | "
-                         "analytical (default: REPRO_ENGINE or packed)")
+                    help="engine tier: packed | vector "
+                         "(default: REPRO_ENGINE or packed)")
 
     co = sub.add_parser(
         "corun",
@@ -597,9 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--xmem-tenants", default="0",
                     help="comma-separated core indices carrying XMem "
                          "semantics under the xmem mode (default 0)")
-    co.add_argument("--engine", default=None,
-                    help="co-run engine: object | packed "
-                         "(default: REPRO_ENGINE or packed)")
     co.add_argument("--stats-json", default=None, metavar="DIR",
                     help="write the mix's manifest+stats JSON document "
                          "into DIR (compare runs with `repro diff`)")
@@ -699,9 +666,20 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A :class:`ConfigurationError` that escapes a command (a bad
+    ``REPRO_ENGINE`` in the environment, say) is a one-line message and
+    exit 2, like every other bad input.
+    """
+    from repro.core.errors import ConfigurationError
+
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.trace import MemAccess, PackedTrace, Trace, Work, XMemOp
+from repro.cpu.trace import PackedTrace, Trace
 from repro.mem.mshr import MSHRFile
 from repro.testing import checks as _checks
 
@@ -98,95 +98,25 @@ class TraceEngine:
     def run(self, trace: Trace) -> EngineStats:
         """Execute ``trace`` to completion; returns the statistics.
 
-        A :class:`PackedTrace` is routed to :meth:`run_packed` -- same
-        statistics, no per-event object materialization.
+        An object event stream is packed first
+        (:meth:`PackedTrace.from_events`), so every input runs on the
+        one interpreter loop, :meth:`run_packed`.
         """
-        if type(trace) is PackedTrace:
-            return self.run_packed(trace)
-        # The interpreter loop runs once per trace event (millions per
-        # experiment): every attribute lookup it would repeat -- stats
-        # fields, PIPELINED_LATENCY, bound methods -- is hoisted into a
-        # local, counters accumulate in plain ints/floats and are
-        # written back once, and the hit fast path (the overwhelmingly
-        # common case) touches nothing but `now`.
-        now = 0.0
-        issue = self.issue_width
-        slot = 1.0 / issue
-        pipelined = self.PIPELINED_LATENCY
-        translate = self.translate
-        memory_access = self.memory.access
-        mshr = self.mshr
-        reserve = mshr.reserve
-        xmemlib = self.xmemlib
-        instructions = 0
-        mem_accesses = 0
-        xmem_instructions = 0
-        misses_to_memory = 0
-        stall_cycles = 0.0
-        for ev in trace:
-            kind = type(ev)
-            if kind is MemAccess:
-                work = ev.work
-                if work:
-                    now += work / issue
-                    instructions += work
-                instructions += 1
-                mem_accesses += 1
-                vaddr = ev.vaddr
-                completes_at, to_memory = memory_access(
-                    translate(vaddr) if translate else vaddr,
-                    ev.is_write, now,
-                )
-                if to_memory:
-                    misses_to_memory += 1
-                if completes_at - now > pipelined:
-                    # Long access: overlap it within the window; stall
-                    # only when the window is full.
-                    start = reserve(now, completes_at)
-                    if start > now:
-                        stall_cycles += start - now
-                        now = start
-                # Either way the access itself takes one issue slot
-                # (first-level hits are fully pipelined).
-                now += slot
-            elif kind is Work:
-                now += ev.count / issue
-                instructions += ev.count
-            elif kind is XMemOp:
-                instructions += 1
-                xmem_instructions += 1
-                now += slot
-                if xmemlib is not None:
-                    getattr(xmemlib, ev.method)(*ev.args)
-            else:
-                raise TypeError(f"not a trace event: {ev!r}")
-        # Drain the window: execution ends when the last miss lands.
-        tail = mshr.latest_completion()
-        if tail is not None and tail > now:
-            now = tail
-        mshr.flush()
-        self.last_stats = EngineStats(
-            cycles=now,
-            instructions=instructions,
-            mem_accesses=mem_accesses,
-            xmem_instructions=xmem_instructions,
-            misses_to_memory=misses_to_memory,
-            stall_cycles=stall_cycles,
-        )
-        if self._check:
-            _checks.check_engine_run(self, self.last_stats)
-        return self.last_stats
+        if type(trace) is not PackedTrace:
+            trace = PackedTrace.from_events(trace)
+        return self.run_packed(trace)
 
     def run_packed(self, trace: PackedTrace) -> EngineStats:
-        """Execute a packed trace; statistics are bit-identical to
-        :meth:`run` over ``trace.events()``.
+        """Execute a packed trace: the engine's interpreter loop.
 
-        The zero-object fast path: the dense stream is consumed as
-        (vaddr, flag-word) integer pairs straight from the columns --
-        no event objects, no ``type()`` dispatch -- and the sparse
-        XMemOp side-table partitions it into segments, each drained
-        with one ``islice`` pass.  Every arithmetic expression mirrors
-        :meth:`run` exactly so float accumulation is unchanged.
+        The dense stream is consumed as (vaddr, flag-word) integer
+        pairs straight from the columns -- no event objects, no
+        ``type()`` dispatch -- and the sparse XMemOp side-table
+        partitions it into segments, each drained with one ``islice``
+        pass.  Every loop-invariant lookup is hoisted into a local and
+        counters accumulate in plain ints/floats, written back once.
+        :class:`repro.testing.oracles.ReferenceEngine` restates the
+        same arithmetic expression for expression.
         """
         now = 0.0
         issue = self.issue_width

@@ -1,29 +1,23 @@
-"""Engine-tier selection: one model, four evaluation strategies.
+"""Engine-tier selection: one model, two exact evaluation strategies.
 
-The simulator has a single memory-system model, but several ways to
-drive a trace through it:
+The simulator has a single memory-system model and two ways to drive a
+trace through it, bit-identical on every statistic:
 
-``object``
-    The original interpreter over a Python event stream.  Slowest;
-    the reference the others are pinned against.
 ``packed``
     :meth:`TraceEngine.run_packed` over :class:`PackedTrace` columns
-    (the zero-object fast path).  Bit-identical to ``object``.
+    (the zero-object interpreter).  The default.
 ``vector``
     :func:`repro.cpu.vector_engine.run_vector`: chunked columnar
     probing with run-length fast-forwarding of pure-hit stretches.
-    Bit-identical to ``packed`` (falls back to it when the machine
-    shape is outside its verified domain).
-``analytical``
-    :func:`repro.sim.analytical.estimate_packed`: a one-pass
-    stack-distance estimator producing *estimated* EngineStats without
-    evolving the machine.  Not exact -- see the module's error model;
-    committed tables must never be produced on this tier.
+    Falls back to ``packed`` when the machine shape is outside its
+    verified domain.
 
-The active tier comes from the ``REPRO_ENGINE`` environment variable
-(so it propagates to sweep worker processes) or an explicit argument;
-``packed`` is the default.  :func:`run_tier` is the single dispatch
-point used by :meth:`SystemHandle.run`.
+Both are pinned against :class:`repro.testing.oracles.ReferenceEngine`
+(fuzz lanes ``packed`` and ``vector``).  The active tier comes from the
+``REPRO_ENGINE`` environment variable (so it propagates to sweep worker
+processes) or an explicit argument; ``packed`` is the default.
+:func:`run_tier` is the single dispatch point used by
+:meth:`SystemHandle.run`.
 """
 
 from __future__ import annotations
@@ -35,12 +29,8 @@ from repro.core.errors import ConfigurationError
 from repro.cpu.engine import EngineStats, TraceEngine
 from repro.cpu.trace import PackedTrace
 
-#: Recognized tiers, exact first.  ``object``/``packed``/``vector``
-#: are interchangeable on results; ``analytical`` is an estimate.
-ENGINE_TIERS = ("object", "packed", "vector", "analytical")
-
-#: Tiers whose EngineStats are bit-identical to the reference model.
-EXACT_TIERS = ("object", "packed", "vector")
+#: Recognized tiers; their results are interchangeable.
+ENGINE_TIERS = ("packed", "vector")
 
 _ENV_VAR = "REPRO_ENGINE"
 
@@ -65,39 +55,17 @@ def resolve_engine_tier(explicit: Optional[str] = None) -> str:
     return tier
 
 
-def corun_tier(explicit: Optional[str] = None) -> str:
-    """The co-run engine's two-tier view of the selector.
-
-    ``object`` keeps the legacy per-event interleaver as the
-    differential oracle; every other tier maps to ``packed`` -- the
-    heap-scheduled batched interleaver (there is no separate
-    vector/analytical co-run variant, and both co-run tiers are
-    exact).
-    """
-    tier = resolve_engine_tier(explicit)
-    return "object" if tier == "object" else "packed"
-
-
 def run_tier(engine: TraceEngine, trace,
              tier: Optional[str] = None) -> EngineStats:
     """Execute ``trace`` on ``engine`` with the selected tier.
 
-    Object traces (iterables of events) are accepted by every tier:
-    the columnar tiers pack them first, so tier selection never changes
-    what a caller may pass.
+    Object traces (iterables of events) are accepted by both tiers:
+    they are packed first, so tier selection never changes what a
+    caller may pass.
     """
-    tier = resolve_engine_tier(tier)
-    if tier == "object":
-        if isinstance(trace, PackedTrace):
-            trace = list(trace.events())
-        return engine.run(trace)
-    if tier == "packed":
+    if resolve_engine_tier(tier) == "packed":
         return engine.run(trace)
     if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_events(list(trace))
-    if tier == "vector":
-        from repro.cpu.vector_engine import run_vector
-        return run_vector(engine, trace)
-    # analytical
-    from repro.sim.analytical import estimate_packed
-    return estimate_packed(engine, trace)
+        trace = PackedTrace.from_events(trace)
+    from repro.cpu.vector_engine import run_vector
+    return run_vector(engine, trace)

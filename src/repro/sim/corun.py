@@ -22,7 +22,9 @@ Two interleavers evaluate the same model:
     the next core, which interprets one object event.  O(N) per event
     and per-event Python for every L1 hit.  Kept verbatim as the
     differential oracle (fuzz lane ``corun``, equivalence pins in
-    ``tests/sim/test_corun_packed.py``).
+    ``tests/sim/test_corun_packed.py``), and the path :meth:`run`
+    takes for object event streams and for shapes outside
+    :meth:`CorunSystem.packed_eligible`.
 ``run_packed``
     The PackedTrace-native engine.  A binary heap keyed by
     ``(core.now, core.index)`` schedules cores; between shared-LLC
@@ -80,7 +82,6 @@ from repro.core.errors import ConfigurationError
 from repro.core.stats import iter_stat_groups
 from repro.core.xmemlib import XMemLib
 from repro.cpu.engine import TraceEngine
-from repro.cpu.tiers import corun_tier
 from repro.cpu.trace import (
     MemAccess,
     META_COUNT_SHIFT,
@@ -392,22 +393,24 @@ class CorunSystem:
     def run(self, traces: Sequence[Trace]) -> List[CoreStats]:
         """Interleave one trace per core until all complete.
 
-        All-:class:`PackedTrace` inputs run on the heap-scheduled
-        batched interleaver unless ``REPRO_ENGINE=object`` selects the
-        legacy loop; object event streams always take the legacy loop.
-        Both produce bit-identical :class:`CoreStats`.
+        Dispatch is on the input shape alone: all-:class:`PackedTrace`
+        inputs run on the heap-scheduled batched interleaver
+        (:meth:`run_packed`), anything else on the per-event loop
+        (:meth:`run_events`).  Both produce bit-identical
+        :class:`CoreStats`.
         """
         if len(traces) != len(self.cores):
             raise ConfigurationError(
                 f"{len(self.cores)} cores need {len(self.cores)} traces"
             )
-        if (all(type(t) is PackedTrace for t in traces)
-                and corun_tier() == "packed"):
+        if all(type(t) is PackedTrace for t in traces):
             return self.run_packed(traces)
         return self.run_events(traces)
 
     def run_events(self, traces: Sequence[Trace]) -> List[CoreStats]:
-        """The legacy per-event interleaver (the differential oracle).
+        """The per-event interleaver: the co-run differential oracle,
+        and the only path for object event streams and for machine
+        shapes :meth:`packed_eligible` rejects.
 
         Accepts object event iterables or :class:`PackedTrace` (which
         is unpacked to its event stream).

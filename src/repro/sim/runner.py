@@ -36,10 +36,11 @@ Environment knobs:
 
 * ``REPRO_JOBS``        -- worker processes for sweeps (default: all
   cores; ``1`` = serial in-process execution).
-* ``REPRO_ENGINE``      -- engine tier for every run
-  (``object``/``packed``/``vector``/``analytical``; default
-  ``packed``; see :mod:`repro.cpu.tiers`).  Inherited by sweep
-  workers and recorded in the run manifest.
+* ``REPRO_ENGINE``      -- engine tier for every single-core run
+  (``packed``/``vector``; default ``packed``; see
+  :mod:`repro.cpu.tiers`).  Inherited by sweep workers and recorded
+  in the run manifest.  Co-run points always take the packed
+  interleaver.
 * ``REPRO_TRACE_CACHE`` -- trace cache directory; ``0``/``off``
   disables the on-disk layer (the in-memory layer still shares one
   generation across the systems of a point).
@@ -64,7 +65,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.errors import ConfigurationError
 from repro.core.xmemlib import XMemLib
 from repro.cpu.engine import EngineStats
-from repro.cpu.tiers import corun_tier, resolve_engine_tier
+from repro.cpu.tiers import resolve_engine_tier
 from repro.cpu.trace import PackedTrace, TraceBuilder, TraceEvent, XMemOp
 from repro.sim.config import SimConfig, scaled_config
 from repro.sim.corun import CoreStats, CorunSystem
@@ -658,8 +659,8 @@ def run_point(point: SimPoint,
                 "source": source,
                 "format_version": TRACE_FORMAT_VERSION,
                 # Which engine tier produced the stats: `repro diff`
-                # flags cross-tier comparisons (an analytical-vs-exact
-                # diff reports estimation error, not nondeterminism).
+                # notes cross-tier comparisons (both tiers are exact,
+                # so their counters still gate to zero deltas).
                 "tier": resolve_engine_tier(),
                 "cache_dir": (str(cache.root) if cache.root is not None
                               else None),
@@ -1205,6 +1206,9 @@ def run_corun_point(point: CorunPoint,
         raise ConfigurationError(
             f"xmem_tenants {out_of_range} outside the "
             f"{len(point.tenants)}-tenant mix")
+    # Co-run has one engine, but a mistyped or retired REPRO_ENGINE
+    # must still fail loudly rather than be silently ignored.
+    resolve_engine_tier()
     timer = PhaseTimer() if collect else None
     cfg = point.config()
     if cache is None:
@@ -1267,11 +1271,9 @@ def run_corun_point(point: CorunPoint,
             "point": dataclasses.asdict(point),
             "config": dataclasses.asdict(cfg),
             "trace": {
-                # Which co-run engine produced the stats ("object" is
-                # the legacy oracle, "packed" the heap-scheduled
-                # interleaver); both are exact, so `repro diff` holds
-                # cross-engine documents to zero deltas.
-                "tier": corun_tier(),
+                # Co-run points always run on the heap-scheduled
+                # packed interleaver (`CorunSystem.run_packed`).
+                "tier": "packed",
                 "format_version": TRACE_FORMAT_VERSION,
                 "tenants": tenant_info,
                 "cache_dir": (str(cache.root) if cache.root is not None

@@ -191,9 +191,11 @@ class SystemHandle:
 
         Machines without an XMem system automatically drop the trace's
         XMem operations (hints are supplemental: the binary still runs).
-        The evaluation strategy comes from ``engine_tier`` (or, when
-        None, the ``REPRO_ENGINE`` environment variable; default
-        ``packed``) -- see :mod:`repro.cpu.tiers`.
+        The tier, ``packed`` or ``vector``, comes from ``engine_tier``
+        (or, when None, the ``REPRO_ENGINE`` environment variable;
+        default ``packed``) -- see :mod:`repro.cpu.tiers`.  Both are
+        exact and accept either trace form: an object event stream is
+        packed first.
         """
         from repro.cpu.tiers import run_tier
         if self.xmemlib is None:

@@ -4,10 +4,14 @@ Nine lanes, each pairing a hot-path implementation with its oracle
 (:mod:`repro.testing.oracles`) over seeded random input
 (:mod:`repro.testing.generators`):
 
-* ``packed``  -- the same trace as an object stream and as a
-  :class:`PackedTrace` through two identically built full systems
-  (baseline or XMem, with atom churn): engine statistics and the full
-  stats snapshot must be bit-identical.
+* ``packed``  -- the same trace through two identically built full
+  systems (baseline or XMem, with atom churn):
+  :class:`~repro.testing.oracles.ReferenceEngine` drives one machine's
+  memory system, XMem library and translation over the object stream,
+  ``run_packed`` drives the other over the :class:`PackedTrace`.
+  Engine statistics and the full stats snapshot (its ``engine`` and
+  ``engine.mshr`` groups taken from the reference's counters) must be
+  bit-identical.
 * ``corun``   -- random multi-tenant mixes (2-3 cores, per-core
   generated streams, atom churn on the XMem tenant) through two
   identically built :class:`~repro.sim.corun.CorunSystem` machines:
@@ -15,20 +19,19 @@ Nine lanes, each pairing a hot-path implementation with its oracle
   engine, per-core CoreStats and full snapshot bit-identical.  Items
   are ``(core, event)`` pairs, so shrinking drops events from any
   tenant.
-* ``vector``  -- the same tri-way through the ``object``, ``packed``
-  and ``vector`` engine tiers (:mod:`repro.cpu.tiers`): all three
-  statistics and snapshots must be bit-identical, pinning the vector
-  batch interpreter (and its scalar-fallback boundary handling)
-  against both exact references.
+* ``vector``  -- the same machines, tri-way: the reference against the
+  ``packed`` and ``vector`` engine tiers (:mod:`repro.cpu.tiers`).
+  All three statistics and snapshots must be bit-identical, pinning
+  the vector batch interpreter (and its scalar-fallback boundary
+  handling) against the oracle.
 * ``cache``   -- random access/fill/unpin op strings through the
   columnar :class:`~repro.mem.cache.Cache` (LRU) and the dict-of-lists
   :class:`~repro.testing.oracles.ReferenceCache`: per-op hits,
   writeback addresses, eviction/refusal counts, pinned totals, and the
   final resident set must match.
 * ``engine``  -- MemAccess/Work streams against a seeded
-  :class:`~repro.testing.oracles.ToyMemory`: the object loop, the
-  zero-object packed loop, and the naive
-  :class:`~repro.testing.oracles.ReferenceEngine` must return
+  :class:`~repro.testing.oracles.ToyMemory`: the packed loop and the
+  naive :class:`~repro.testing.oracles.ReferenceEngine` must return
   bit-identical :class:`EngineStats` (windows small enough to
   saturate the MSHR file).
 * ``dram``    -- timed FIFO request streams through
@@ -75,7 +78,14 @@ import random
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cpu.trace import MemAccess, PackedTrace, TraceEvent, Work, XMemOp
+from repro.cpu.trace import (
+    MemAccess,
+    PackedTrace,
+    TraceEvent,
+    Work,
+    XMemOp,
+    strip_xmem,
+)
 from repro.testing import generators
 from repro.testing.generators import GenConfig, setup_atoms
 from repro.testing.oracles import (
@@ -144,7 +154,8 @@ class Lane:
 
 
 class PackedLane(Lane):
-    """Object stream vs. packed columns through identical full systems."""
+    """ReferenceEngine vs. ``run_packed`` through identical full
+    systems."""
 
     name = "packed"
 
@@ -183,20 +194,50 @@ class PackedLane(Lane):
             handle = build_baseline(cfg)
         return handle
 
-    def fail(self, params: dict, items: list) -> Optional[str]:
-        obj_sys = self._build(params)
-        packed_sys = self._build(params)
-        stats_obj = obj_sys.run(list(items))
-        stats_packed = packed_sys.run(PackedTrace.from_events(items))
-        if stats_obj != stats_packed:
-            return (f"engine stats diverged: object={stats_obj} "
-                    f"packed={stats_packed}")
-        snap_obj = obj_sys.stats_snapshot()
-        snap_packed = packed_sys.stats_snapshot()
-        if snap_obj != snap_packed:
-            keys = _first_snapshot_delta(snap_obj, snap_packed)
-            return f"stats snapshot diverged at {keys}"
+    def _reference(self, params: dict, items: list):
+        """(EngineStats, snapshot) of :class:`ReferenceEngine` driving
+        a fresh machine's memory system, XMem library and translation.
+
+        The machine's own engine never runs, so the snapshot's
+        ``engine``/``engine.mshr`` groups are filled from the
+        reference's counters before it is taken.
+        """
+        from repro.mem.mshr import MSHRStats
+
+        handle = self._build(params)
+        engine = handle.engine
+        ref = ReferenceEngine(engine.memory, engine.xmemlib,
+                              engine.translate,
+                              issue_width=engine.issue_width,
+                              window=engine.mshr.entries)
+        # SystemHandle.run drops XMem ops on machines without XMem.
+        trace = items if engine.xmemlib is not None else strip_xmem(items)
+        stats = ref.run(list(trace))
+        engine.last_stats = stats
+        engine.mshr.stats = MSHRStats(reservations=ref.reservations,
+                                      full_stalls=ref.full_stalls)
+        return stats, handle.stats_snapshot()
+
+    def _check(self, params: dict, items: list, tiers) -> Optional[str]:
+        """The reference against each of ``tiers``: stats, then the
+        full snapshot."""
+        want, want_snap = self._reference(params, items)
+        for tier in tiers:
+            handle = self._build(params)
+            got = handle.run(PackedTrace.from_events(items),
+                             engine_tier=tier)
+            if got != want:
+                return (f"{tier} tier stats diverged from the reference: "
+                        f"reference={want} {tier}={got}")
+            snap = handle.stats_snapshot()
+            if snap != want_snap:
+                keys = _first_snapshot_delta(want_snap, snap)
+                return (f"{tier} tier snapshot diverged from the "
+                        f"reference at {keys}")
         return None
+
+    def fail(self, params: dict, items: list) -> Optional[str]:
+        return self._check(params, items, ("packed",))
 
     def to_json(self, items: list) -> list:
         return [event_to_json(ev) for ev in items]
@@ -206,39 +247,21 @@ class PackedLane(Lane):
 
 
 class VectorLane(PackedLane):
-    """Object vs. packed vs. vector engine tiers, tri-way.
+    """Reference vs. packed vs. vector engine tiers, tri-way.
 
     Same generator and system shapes as the ``packed`` lane (so the
     vector tier sees XMem side-tables, atom churn, and small windows);
-    any pair diverging -- stats or full snapshot -- is a failure.  The
-    vector tier legitimately falls back to the packed loop on shapes
-    outside its domain; the comparison then still holds trivially, so
-    the lane spends its cases where the fast path actually runs.
+    either tier diverging from the reference -- stats or full snapshot
+    -- is a failure.  The vector tier legitimately falls back to the
+    packed loop on shapes outside its domain; the comparison then
+    still holds trivially, so the lane spends its cases where the fast
+    path actually runs.
     """
 
     name = "vector"
 
     def fail(self, params: dict, items: list) -> Optional[str]:
-        systems = {tier: self._build(params)
-                   for tier in ("object", "packed", "vector")}
-        stats = {}
-        for tier, handle in systems.items():
-            trace = (list(items) if tier == "object"
-                     else PackedTrace.from_events(items))
-            stats[tier] = handle.run(trace, engine_tier=tier)
-        for tier in ("packed", "vector"):
-            if stats[tier] != stats["object"]:
-                return (f"{tier} tier stats diverged from object: "
-                        f"object={stats['object']} "
-                        f"{tier}={stats[tier]}")
-        snaps = {tier: handle.stats_snapshot()
-                 for tier, handle in systems.items()}
-        for tier in ("packed", "vector"):
-            if snaps[tier] != snaps["object"]:
-                keys = _first_snapshot_delta(snaps["object"], snaps[tier])
-                return (f"{tier} tier snapshot diverged from object "
-                        f"at {keys}")
-        return None
+        return self._check(params, items, ("packed", "vector"))
 
 
 class CorunLane(Lane):
@@ -412,7 +435,7 @@ class CacheLane(Lane):
 
 
 class EngineLane(Lane):
-    """Object loop vs. packed loop vs. naive reference engine."""
+    """Packed loop vs. naive reference engine over a toy memory."""
 
     name = "engine"
 
@@ -439,17 +462,12 @@ class EngineLane(Lane):
             return ToyMemory(params["mem_seed"],
                              miss_rate=params["miss_rate"])
 
-        opt = TraceEngine(toy(), issue_width=params["issue_width"],
-                          window=params["window"])
-        got_obj = opt.run(list(items))
         opt_packed = TraceEngine(toy(), issue_width=params["issue_width"],
                                  window=params["window"])
         got_packed = opt_packed.run(PackedTrace.from_events(items))
         ref = ReferenceEngine(toy(), issue_width=params["issue_width"],
                               window=params["window"])
         want = ref.run(list(items))
-        if got_obj != want:
-            return f"object loop diverged: engine={got_obj} ref={want}"
         if got_packed != want:
             return f"packed loop diverged: engine={got_packed} ref={want}"
         return None

@@ -12,9 +12,10 @@ require the answers to agree exactly:
   all match the columnar cache.
 * :class:`ReferenceEngine` vs. :class:`repro.cpu.engine.TraceEngine`:
   a naive in-order interpreter with a plain-list outstanding-miss
-  window (``min``/``remove`` instead of a heap).  Statistics must be
-  bit-identical -- every arithmetic expression mirrors the engine, so
-  float accumulation order is the same.
+  window (``min``/``remove`` instead of a heap).  Statistics and MSHR
+  counters must be bit-identical -- every arithmetic expression
+  mirrors the engine, so float accumulation order is the same.  It is
+  the single-core engine's only oracle.
 * :class:`ReferenceDram` vs. :class:`repro.dram.system.DramSystem`
   under FIFO issue: a naive open-row bank/channel timing model.
   Per-request (outcome, latency, completion) must match exactly.
@@ -158,7 +159,10 @@ class ReferenceEngine:
     outstanding-miss window as a list scanned with ``min``.  Every
     arithmetic expression restates the engine's, so the returned
     :class:`~repro.cpu.engine.EngineStats` is bit-identical for any
-    trace over the same memory behaviour.
+    trace over the same memory behaviour.  The window also counts what
+    :class:`~repro.mem.mshr.MSHRFile` counts: after a run,
+    ``reservations`` (long accesses entered into the window) and
+    ``full_stalls`` (entries that found it full).
     """
 
     PIPELINED_LATENCY = 4.0
@@ -170,6 +174,8 @@ class ReferenceEngine:
         self.translate = translate
         self.issue_width = issue_width
         self.window = window
+        self.reservations = 0
+        self.full_stalls = 0
 
     def run(self, trace: Trace):
         from repro.cpu.engine import EngineStats
@@ -181,6 +187,7 @@ class ReferenceEngine:
         slot = 1.0 / issue
         outstanding: List[float] = []
         stats = EngineStats()
+        self.reservations = self.full_stalls = 0
         for ev in trace:
             if isinstance(ev, MemAccess):
                 work = ev.work
@@ -204,7 +211,9 @@ class ReferenceEngine:
                     if len(outstanding) >= self.window:
                         start = min(outstanding)
                         outstanding.remove(start)
+                        self.full_stalls += 1
                     outstanding.append(completes_at)
+                    self.reservations += 1
                     if start > now:
                         stats.stall_cycles += start - now
                         now = start

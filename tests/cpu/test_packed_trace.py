@@ -3,11 +3,12 @@ engine fast path.
 
 The load-bearing property is the last test class: for **every**
 registered polybench kernel, `run_packed` over the packed columns
-produces bit-for-bit the same :class:`EngineStats` as the object-path
-interpreter over the reconstructed event stream, on both baseline and
-XMem machines.  Everything the figures report flows through one of
-those two paths, so their equivalence is what makes the packed format
-a pure optimization.
+produces bit-for-bit the same :class:`EngineStats` as the naive
+:class:`~repro.testing.oracles.ReferenceEngine` over the reconstructed
+event stream, driving a twin machine's memory system, on both baseline
+and XMem machines.  Everything the figures report flows through the
+packed loop, so this equivalence is what makes the packed format a
+pure optimization.
 """
 
 import pytest
@@ -139,17 +140,22 @@ class TestWithoutXmem:
 
 
 # ---------------------------------------------------------------------------
-# Engine fast path == object path, for every kernel
+# Engine fast path == reference interpreter, for every kernel
 # ---------------------------------------------------------------------------
 
 def _stats_pair(kernel, system_builder, with_lib):
-    """(object-path stats, packed-path stats) on fresh twin machines."""
+    """(reference stats, packed-path stats) on fresh twin machines."""
+    from repro.testing.oracles import ReferenceEngine
+
     cfg = scaled_config(32)
     h_obj = system_builder(cfg)
     packed_a = kernel.build_packed(N, TILE, lib=h_obj.xmemlib)
     trace_a = packed_a if with_lib else packed_a.without_xmem()
-    # Force the object interpreter: materialize the event stream.
-    obj_stats = h_obj.engine.run(list(trace_a.events()))
+    engine = h_obj.engine
+    ref = ReferenceEngine(engine.memory, engine.xmemlib, engine.translate,
+                          issue_width=engine.issue_width,
+                          window=engine.mshr.entries)
+    obj_stats = ref.run(list(trace_a.events()))
 
     h_pk = system_builder(cfg)
     packed_b = kernel.build_packed(N, TILE, lib=h_pk.xmemlib)

@@ -15,12 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import (
-    ENGINE_TIERS,
-    EXACT_TIERS,
-    resolve_engine_tier,
-    run_tier,
-)
+from repro.cpu.tiers import ENGINE_TIERS, resolve_engine_tier, run_tier
 from repro.cpu.trace import MemAccess, PackedTrace, Work, XMemOp
 from repro.cpu.vector_engine import eligible, run_vector
 from repro.sim.config import scaled_config
@@ -236,19 +231,28 @@ class TestTierSelector:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert resolve_engine_tier("object") == "object"
+        assert resolve_engine_tier("packed") == "packed"
 
     def test_unknown_tier_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp")
         with pytest.raises(ConfigurationError, match="warp"):
             resolve_engine_tier()
 
-    def test_registry_shape(self):
-        assert set(EXACT_TIERS) < set(ENGINE_TIERS)
-        assert "analytical" in ENGINE_TIERS
-        assert "analytical" not in EXACT_TIERS
+    @pytest.mark.parametrize("tier", ["object", "analytical"])
+    def test_retired_tiers_rejected(self, monkeypatch, tier):
+        """The retired tiers raise like any unknown name, from the
+        environment and as an explicit argument."""
+        monkeypatch.setenv("REPRO_ENGINE", tier)
+        with pytest.raises(ConfigurationError, match=tier):
+            resolve_engine_tier()
+        monkeypatch.delenv("REPRO_ENGINE")
+        with pytest.raises(ConfigurationError, match=tier):
+            resolve_engine_tier(tier)
 
-    @pytest.mark.parametrize("tier", EXACT_TIERS)
+    def test_registry_shape(self):
+        assert ENGINE_TIERS == ("packed", "vector")
+
+    @pytest.mark.parametrize("tier", ENGINE_TIERS)
     def test_exact_tiers_agree_via_run_tier(self, tier):
         cfg = scaled_config(32)
         h_ref = build_xmem(cfg)

@@ -202,19 +202,19 @@ class TestPerRunEngine:
 
     def test_engine_reaches_the_manifest_tier(self, pool_server):
         h = kernel_scenario(pool_server)
-        rid = submit_run(pool_server, h, [{}, {"engine": "object"}])
+        rid = submit_run(pool_server, h, [{}, {"engine": "vector"}])
         doc = wait_run(pool_server, rid)
         assert doc["status"] == "done"
         tiers = {name: d["manifest"]["trace"]["tier"]
                  for name, d in doc["documents"].items()}
-        assert sorted(tiers.values()) == ["object", "packed"]
+        assert sorted(tiers.values()) == ["packed", "vector"]
         # The override is recorded in the serve block and the
         # manifest env, exactly like REPRO_ENGINE on a CLI sweep.
         for name, d in doc["documents"].items():
             serve_block = d["manifest"]["serve"]
-            if tiers[name] == "object":
-                assert serve_block["engine"] == "object"
-                assert d["manifest"]["env"]["REPRO_ENGINE"] == "object"
+            if tiers[name] == "vector":
+                assert serve_block["engine"] == "vector"
+                assert d["manifest"]["env"]["REPRO_ENGINE"] == "vector"
             else:
                 assert "engine" not in serve_block
 
@@ -222,7 +222,7 @@ class TestPerRunEngine:
         h = kernel_scenario(pool_server)
         wait_run(pool_server, submit_run(pool_server, h, [{}]))
         doc = wait_run(pool_server, submit_run(
-            pool_server, h, [{"engine": "object"}]))
+            pool_server, h, [{"engine": "vector"}]))
         assert doc["status"] == "done"
         _, state = call(pool_server, "GET", "/debug/state")
         # Different engine, different point: no dedup.
@@ -243,7 +243,7 @@ class TestPerRunEngine:
             h = kernel_scenario(srv)
             status, doc = call(srv, "POST", "/v1/runs",
                                {"scenario": h,
-                                "configs": [{"engine": "object"}]})
+                                "configs": [{"engine": "vector"}]})
             assert status == 400
             assert "process executor" in doc["error"]
             # Engine-free configs still run fine.

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.cpu.tiers import resolve_engine_tier
+from repro.cpu.tiers import ENGINE_TIERS, resolve_engine_tier
 from repro.serve.app import ServerState, serve
 from repro.serve.jobs import config_hash, normalize_config
 from repro.serve.scenarios import ScenarioEntry, ScenarioSpec
@@ -179,8 +179,7 @@ class TestShapes:
         assert doc["status"] == "ok"
         assert doc["workers"] == {"alive": 2, "configured": 2}
         assert doc["queue_depth"] == 0
-        assert doc["engine_tier"] in ("object", "packed", "vector",
-                                      "analytical")
+        assert doc["engine_tier"] in ENGINE_TIERS
         assert doc["uptime_s"] >= 0
 
     def test_debug_state(self, server):

@@ -204,6 +204,54 @@ class TestRestartRecovery:
         finally:
             stop_server(srv, thread)
 
+    def test_archived_run_on_a_retired_tier_still_serves(self, tmp_path):
+        """A workspace holding a run recorded on the retired ``object``
+        tier restarts and serves that run byte-identically; a new
+        submission naming a retired tier is a clean 400."""
+        from repro.serve.jobs import config_hash
+
+        srv, thread = boot_server(workspace=str(tmp_path))
+        try:
+            h = kernel_scenario(srv)
+            live = wait_run(srv, submit_run(srv, h, [{}]))
+            assert live["status"] == "done"
+        finally:
+            stop_server(srv, thread)
+
+        # Forge the run as an older server wrote it for the config
+        # {"engine": "object"}: its own config hash, the override in
+        # the serve block, env and trace provenance.
+        ws = ArtifactWorkspace(tmp_path)
+        record = ws.load_run(live["run"])
+        name = record["names"][0]
+        doc = json.loads(json.dumps(live["documents"][name]))
+        key = [h, config_hash({"engine": "object", "scale": 32,
+                               "llc_bytes": None, "bandwidth": 1.0,
+                               "systems": ["baseline", "xmem"]})]
+        manifest = doc["manifest"]
+        manifest["serve"].update(config_hash=key[1], engine="object")
+        manifest["env"]["REPRO_ENGINE"] = "object"
+        manifest["trace"]["tier"] = "object"
+        assert ws.save_point(tuple(key), doc)
+        ws.save_run(dict(record, run="run-000002", point_keys=[key]))
+        raw = (tmp_path / "points" / f"{key[0]}_{key[1]}.json").read_bytes()
+
+        srv, thread = boot_server(workspace=str(tmp_path))
+        try:
+            status, after = call(srv, "GET", "/v1/runs/run-000002")
+            assert status == 200
+            assert after["archived"] is True
+            assert after["status"] == "done"
+            assert after["documents"] == {name: doc}
+            assert _dump_json(after["documents"][name]) == raw
+            status, err = call(srv, "POST", "/v1/runs",
+                               {"scenario": h,
+                                "configs": [{"engine": "analytical"}]})
+            assert status == 400
+            assert "['packed', 'vector']" in err["error"]
+        finally:
+            stop_server(srv, thread)
+
     def test_interrupted_run_is_cleanly_failed_and_resumable(
             self, tmp_path):
         srv, thread = boot_server(workspace=str(tmp_path))

@@ -44,7 +44,7 @@ def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
             traces.append(recording.replay(core.xmemlib))
         else:
             traces.append(recording.packed.without_xmem())
-    run = {"object": system.run_events,
+    run = {"events": system.run_events,
            "packed": system.run_packed,
            None: system.run}[engine]
     return run(traces), system.stats_snapshot()
@@ -54,7 +54,7 @@ def run_pair(names, mode, engine, accesses=2500, footprint_div=256,
 @pytest.mark.parametrize("names", PAIRS,
                          ids=["+".join(p) for p in PAIRS])
 def test_packed_bit_identical_to_legacy(names, mode):
-    stats_obj, snap_obj = run_pair(names, mode, "object")
+    stats_obj, snap_obj = run_pair(names, mode, "events")
     stats_packed, snap_packed = run_pair(names, mode, "packed")
     for legacy, packed in zip(stats_obj, stats_packed):
         assert (packed.cycles, packed.instructions,
@@ -89,7 +89,7 @@ def test_fused_miss_mix_bit_identical(mode, fused_calls):
     """The 4-tenant miss mix, XMem on tenants 0 and 2: the fused
     kernel must reproduce the oracle's CoreStats and snapshot."""
     kw = dict(accesses=1500, xmem_tenants=(0, 2))
-    legacy = run_pair(MISS_MIX, mode, "object", **kw)
+    legacy = run_pair(MISS_MIX, mode, "events", **kw)
     packed = run_pair(MISS_MIX, mode, "packed", **kw)
     assert len(fused_calls) == 1
     assert_identical(legacy, packed)
@@ -118,7 +118,7 @@ def test_fused_without_stride_prefetcher(fused_calls):
     oracle."""
     kw = dict(accesses=800, xmem_tenants=(0, 2),
               cfg=_no_prefetcher(scaled_config(32)))
-    legacy = run_pair(MISS_MIX, "xmem", "object", **kw)
+    legacy = run_pair(MISS_MIX, "xmem", "events", **kw)
     packed = run_pair(MISS_MIX, "xmem", "packed", **kw)
     assert len(fused_calls) == 1
     assert_identical(legacy, packed)
@@ -138,7 +138,7 @@ def test_fallback_shapes_match_oracle(shape, monkeypatch):
     else:
         monkeypatch.setenv("REPRO_CHECK", "1")
     kw = dict(accesses=800, xmem_tenants=(0, 2), cfg=cfg)
-    legacy = run_pair(MISS_MIX, "xmem", "object", **kw)
+    legacy = run_pair(MISS_MIX, "xmem", "events", **kw)
     packed = run_pair(MISS_MIX, "xmem", "packed", **kw)
     system = CorunSystem(cfg, 2)
     assert system.packed_eligible() and not system.fused_eligible()
@@ -150,19 +150,45 @@ def test_run_ahead_tie_break(fused_calls):
     levels separate them: the run-ahead rule must keep the legacy
     lowest-index tie-break."""
     names = ("lbm", "lbm")
-    legacy = run_pair(names, "baseline", "object", accesses=1500)
+    legacy = run_pair(names, "baseline", "events", accesses=1500)
     packed = run_pair(names, "baseline", "packed", accesses=1500)
     assert len(fused_calls) == 1
     assert_identical(legacy, packed)
 
 
-def test_run_dispatch_honours_engine_tier(monkeypatch):
-    """All-packed traces take the batched engine by default; the
-    oracle stays selectable via REPRO_ENGINE -- and both agree."""
-    stats_default, _ = run_pair(PAIRS[0], "xmem", None)
-    monkeypatch.setenv("REPRO_ENGINE", "object")
-    stats_object, _ = run_pair(PAIRS[0], "xmem", None)
-    assert stats_default == stats_object
+def test_run_dispatches_on_input_shape(monkeypatch):
+    """``run`` sends all-packed traces to the batched engine and object
+    streams to the per-event loop, whatever ``REPRO_ENGINE`` says --
+    and both agree."""
+    from repro.sim import corun
+
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    calls = []
+    for name in ("run_packed", "run_events"):
+        real = getattr(CorunSystem, name)
+
+        def spy(self, traces, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, traces)
+
+        monkeypatch.setattr(corun.CorunSystem, name, spy)
+    stats_packed, snap_packed = run_pair(PAIRS[0], "xmem", None)
+    assert calls == ["run_packed"]
+
+    calls.clear()
+    cfg = scaled_config(32)
+    system = CorunSystem(cfg, 2, xmem_cores=(0,))
+    traces = []
+    for core, name in zip(system.cores, PAIRS[0]):
+        recording = record_suite_trace(name, 2500, 256)
+        if core.xmemlib is not None:
+            traces.append(list(recording.replay(core.xmemlib).events()))
+        else:
+            traces.append(list(recording.packed.without_xmem().events()))
+    stats_events = system.run(traces)
+    assert calls == ["run_events"]
+    assert stats_events == stats_packed
+    assert system.stats_snapshot() == snap_packed
 
 
 # -- MultiProcessController.refresh edge cases --------------------------

@@ -288,10 +288,34 @@ class TestCorunCliAudit:
                      "--xmem-tenants", "5"]) == 2
         assert "outside" in capsys.readouterr().err
 
-    def test_unknown_engine_exits_two(self, capsys):
+    def test_unknown_engine_exits_two(self, capsys, monkeypatch):
+        """Co-run has one engine, but a bad REPRO_ENGINE is still a
+        clean exit 2 listing the choices, not a traceback."""
+        monkeypatch.setenv("REPRO_ENGINE", "warp")
         assert main(["corun", "--tenants", "mcf,lbm",
-                     "--engine", "warp"]) == 2
+                     "--accesses", "50"]) == 2
         assert "choices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tier", ["object", "analytical"])
+    @pytest.mark.parametrize("command", [
+        ["corun", "--tenants", "mcf,lbm", "--accesses", "50"],
+        ["sweep", "--kernels", "mvt", "--n", "16", "--tiles", "8",
+         "--jobs", "1"],
+    ], ids=["corun", "sweep"])
+    def test_retired_tiers_exit_two(self, capsys, monkeypatch, tmp_path,
+                                    tier, command):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ENGINE", tier)
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "unknown engine tier" in err
+        assert "('packed', 'vector')" in err
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corun", "--tenants", "mcf,lbm", "--engine", "packed"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_bad_scenario_tenant_exits_two(self, capsys):
         assert main(["corun", "--tenants", "scenario:nope"]) == 2
@@ -350,22 +374,14 @@ class TestDiffCrossTier:
             path.write_text(json.dumps(doc))
         return run_b
 
-    def test_estimating_tier_suppresses_deltas(self, run_dir, tmp_path,
-                                               capsys):
-        run_b = self._retier(run_dir, tmp_path, "analytical")
-        assert main(["diff", str(run_dir), str(run_b)]) == 1
-        out = capsys.readouterr().out
-        assert "suppressed" in out
-        assert "cross-tier document pair(s) flagged" in out
-
     def test_exact_tiers_still_gate_to_zero(self, run_dir, tmp_path,
                                             capsys):
-        from repro.cpu.tiers import EXACT_TIERS
+        from repro.cpu.tiers import ENGINE_TIERS
 
         import json
         current = json.loads(sorted(run_dir.glob("*.json"))[0]
                              .read_text())["manifest"]["trace"]["tier"]
-        other = sorted(set(EXACT_TIERS) - {current})[0]
+        other = sorted(set(ENGINE_TIERS) - {current})[0]
         run_b = self._retier(run_dir, tmp_path, other)
         assert main(["diff", str(run_dir), str(run_b)]) == 0
         out = capsys.readouterr().out

@@ -111,7 +111,7 @@ class TestMutationCanary:
         assert replay(report.corpus_paths[0]) is None
 
     def test_packed_lane_catches_engine_skew(self):
-        """A packed-loop-only off-by-one diverges from the object loop."""
+        """A packed-loop-only off-by-one diverges from ReferenceEngine."""
         from repro.cpu.engine import TraceEngine
 
         real = TraceEngine.run_packed
@@ -128,8 +128,8 @@ class TestMutationCanary:
             assert not report.ok
 
     def test_vector_lane_catches_vector_drift(self):
-        """A vector-tier-only counter skew diverges from both exact
-        references (and only trips the vector lane, not packed)."""
+        """A vector-tier-only counter skew diverges from the reference
+        and the packed tier (and only trips the vector lane)."""
         from repro.cpu import vector_engine
 
         real = vector_engine.run_vector
