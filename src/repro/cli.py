@@ -473,7 +473,7 @@ def cmd_serve(args) -> int:
     return serve_main(
         host=args.host, port=args.port, workers=workers,
         queue_limit=args.queue_limit, cache_dir=args.cache_dir,
-        out_root=args.out_root, executor=args.executor,
+        out_root=args.out_root,
         recycle_after=args.recycle_after, workspace=args.workspace,
         workspace_ttl_s=args.workspace_ttl,
         workspace_limit_bytes=args.workspace_limit_mb << 20,
@@ -614,13 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--queue-limit", type=int, default=64,
                     help="max pending points before requests are "
                          "rejected with 429 (default 64)")
-    sv.add_argument("--executor", choices=("process", "thread"),
+    sv.add_argument("--executor", choices=("process",),
                     default="process",
-                    help="point execution backend: 'process' runs "
-                         "each point in an import-warm worker process "
-                         "(true parallelism, crash isolation, hard "
-                         "cancel); 'thread' executes in-process "
-                         "(default process)")
+                    help="accepted for existing scripts; 'process' "
+                         "(import-warm worker processes) is the only "
+                         "executor")
     sv.add_argument("--recycle-after", type=int, default=32,
                     metavar="N",
                     help="retire a worker process after N jobs to cap "

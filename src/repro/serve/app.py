@@ -20,8 +20,8 @@ Endpoints (all bodies and responses are JSON):
   terminal.  With ``--workspace``, runs retired from memory (or
   completed by a previous server process) are served from disk.
 * ``DELETE /v1/runs/<id>``    -- cancel a run: still-pending points
-  are skipped, and an in-flight point (process executor) has its
-  worker terminated, freeing the pool slot.
+  are skipped, and an in-flight point has its worker terminated,
+  freeing the pool slot.
 * ``GET  /health``            -- liveness: queue depth, worker counts,
   pool state (executor, per-worker pid / jobs since last recycle).
 * ``GET  /debug/state``       -- full introspection: serve counters,
@@ -113,7 +113,6 @@ class ServerState:
     def __init__(self, workers: int = 2, queue_limit: int = 64,
                  cache_dir: Optional[str] = None,
                  out_root: Optional[str] = None,
-                 executor: str = "process",
                  recycle_after: int = 32,
                  workspace: Optional[str] = None,
                  workspace_ttl_s: float = 7 * 24 * 3600.0,
@@ -151,7 +150,6 @@ class ServerState:
         self.scheduler = RunScheduler(self.store, self.stats,
                                       workers=workers,
                                       queue_limit=queue_limit,
-                                      executor=executor,
                                       recycle_after=recycle_after,
                                       workspace=self.workspace)
         self.out_root = (Path(out_root).expanduser()
@@ -659,7 +657,6 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
           workers: int = 2, queue_limit: int = 64,
           cache_dir: Optional[str] = None,
           out_root: Optional[str] = None,
-          executor: str = "process",
           recycle_after: int = 32,
           workspace: Optional[str] = None,
           workspace_ttl_s: float = 7 * 24 * 3600.0,
@@ -668,7 +665,7 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
     """Build a ready-to-run server (callers invoke ``serve_forever``)."""
     state = ServerState(workers=workers, queue_limit=queue_limit,
                         cache_dir=cache_dir, out_root=out_root,
-                        executor=executor, recycle_after=recycle_after,
+                        recycle_after=recycle_after,
                         workspace=workspace,
                         workspace_ttl_s=workspace_ttl_s,
                         workspace_limit_bytes=workspace_limit_bytes,
@@ -679,7 +676,6 @@ def serve(host: str = "127.0.0.1", port: int = 8642,
 def main(host: str, port: int, workers: int, queue_limit: int,
          cache_dir: Optional[str], verbose: bool,
          out_root: Optional[str] = None,
-         executor: str = "process",
          recycle_after: int = 32,
          workspace: Optional[str] = None,
          workspace_ttl_s: float = 7 * 24 * 3600.0,
@@ -688,7 +684,7 @@ def main(host: str, port: int, workers: int, queue_limit: int,
     try:
         server = serve(host=host, port=port, workers=workers,
                        queue_limit=queue_limit, cache_dir=cache_dir,
-                       out_root=out_root, executor=executor,
+                       out_root=out_root,
                        recycle_after=recycle_after,
                        workspace=workspace,
                        workspace_ttl_s=workspace_ttl_s,
@@ -699,7 +695,7 @@ def main(host: str, port: int, workers: int, queue_limit: int,
         return 2
     bound = server.server_address
     print(f"repro serve: listening on http://{bound[0]}:{bound[1]} "
-          f"(workers={workers}, executor={executor}, "
+          f"(workers={workers}, executor=process, "
           f"queue_limit={queue_limit}, "
           f"engine={server.state.engine_tier}"
           + (f", workspace={workspace}" if workspace else "")

@@ -9,20 +9,14 @@ pool of workers, producing exactly the manifest+stats JSON document
 ``repro sweep --stats-json`` writes (re-tagged ``kind: servepoint``),
 so served output is held to the CLI output by the ``repro diff`` gate.
 
-Two executors:
-
-* ``process`` (the default) -- each scheduler worker thread owns one
-  import-warm :class:`~repro.serve.pool.WorkerProcess`; points execute
-  truly in parallel (CPU-bound replays no longer serialize behind the
-  GIL), a crashed worker fails only its point, cancel of an in-flight
-  point terminates the child and frees the slot immediately, and
-  children are recycled after ``recycle_after`` jobs to cap RSS.
-  Per-run ``engine`` overrides ride the job message and scope
-  ``REPRO_ENGINE`` inside the child.
-* ``thread`` -- the PR 8 in-process path, kept as the measured
-  baseline (see ``benchmarks/results/serve_throughput.txt``) and for
-  environments where spawning processes is unwanted.  No in-flight
-  cancel, no per-run engine (``REPRO_ENGINE`` is process-wide here).
+Every point executes in the process pool: each scheduler worker
+thread owns one import-warm :class:`~repro.serve.pool.WorkerProcess`.
+Points execute truly in parallel (CPU-bound replays do not serialize
+behind the GIL), a crashed worker fails only its point, cancel of an
+in-flight point terminates the child and frees the slot immediately,
+and children are recycled after ``recycle_after`` jobs to cap RSS.
+Per-run ``engine`` overrides ride the job message and scope
+``REPRO_ENGINE`` inside the child.
 
 Progress is observable incrementally: every run keeps an append-only
 completion-ordered event list, long-polled via ``GET
@@ -59,9 +53,7 @@ from repro.sim.runner import (
     CorunPoint,
     ScenarioPoint,
     SimPoint,
-    point_document,
     point_document_name,
-    run_any_point,
 )
 
 #: Completed runs retained in memory for ``GET /v1/runs/<id>``
@@ -156,10 +148,8 @@ def normalize_config(entry: ScenarioEntry, config: object
     :data:`repro.cpu.tiers.ENGINE_TIERS`); ``null``/omitted means the
     server's process-wide tier.  The override is part of the hashed
     config, so the same machine knobs on two tiers are two distinct
-    points.  It requires the process executor -- the worker child
-    scopes ``REPRO_ENGINE`` around the one job it runs -- and is
-    rejected at submission under ``--executor thread``, where the
-    variable is process-wide.
+    points; the worker child scopes ``REPRO_ENGINE`` around the one
+    job it runs.
     """
     if config is None:
         config = {}
@@ -348,24 +338,19 @@ class RunScheduler:
 
     def __init__(self, store: ScenarioStore, stats: ServeStats,
                  workers: int = 2, queue_limit: int = 64,
-                 executor: str = "process", recycle_after: int = 32,
+                 recycle_after: int = 32,
                  workspace: Optional[ArtifactWorkspace] = None) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0: {workers}")
         if queue_limit <= 0:
             raise ConfigurationError(
                 f"queue_limit must be > 0: {queue_limit}")
-        if executor not in ("process", "thread"):
-            raise ConfigurationError(
-                f"executor must be 'process' or 'thread', "
-                f"got {executor!r}")
         if recycle_after <= 0:
             raise ConfigurationError(
                 f"recycle_after must be > 0: {recycle_after}")
         self.store = store
         self.stats = stats
         self.queue_limit = queue_limit
-        self.executor = executor
         self.recycle_after = recycle_after
         self.workspace = workspace
         self._queue: "queue.Queue[Optional[PointEntry]]" = queue.Queue()
@@ -424,11 +409,6 @@ class RunScheduler:
             fresh_by_key: Dict[Tuple[str, str], PointEntry] = {}
             for index, (entry, config) in enumerate(points):
                 engine = config.get("engine")
-                if engine is not None and self.executor != "process":
-                    raise ConfigurationError(
-                        "per-run engine overrides need the process "
-                        "executor; this server runs --executor thread "
-                        "where REPRO_ENGINE is process-wide")
                 key = (entry.hash, config_hash(config))
                 point = build_point(entry, config)
                 keys.append(key)
@@ -520,8 +500,8 @@ class RunScheduler:
         """Mark a run cancelled.
 
         Pending points referenced only by cancelled runs are skipped
-        by the workers; a *running* point (process executor only) gets
-        its ``cancel_requested`` flag raised, and the worker thread
+        by the workers; a *running* point gets its
+        ``cancel_requested`` flag raised, and the worker thread
         terminates the child executing it -- the pool slot frees
         without finishing the doomed point.
         """
@@ -553,8 +533,7 @@ class RunScheduler:
                         if self._append_events_for_locked(other, pe):
                             if other not in touched:
                                 touched.append(other)
-                elif pe.state == "running" \
-                        and self.executor == "process":
+                elif pe.state == "running":
                     pe.cancel_requested = True
             if run not in touched:
                 touched.append(run)
@@ -695,7 +674,11 @@ class RunScheduler:
         return len(self._workers)
 
     def pool_report(self) -> Dict[str, object]:
-        """The ``/health`` pool block: executor, recycling, children."""
+        """The ``/health`` pool block: executor, recycling, children.
+
+        ``executor`` is always ``"process"`` (the pool is serve's only
+        executor); the field stays for clients that read it.
+        """
         workers = []
         for thread, info in zip(self._workers, self._worker_info):
             with self._lock:
@@ -705,7 +688,7 @@ class RunScheduler:
                     "jobs_since_recycle": info["jobs_since_recycle"],
                     "recycles": info["recycles"],
                 })
-        return {"executor": self.executor,
+        return {"executor": "process",
                 "recycle_after": self.recycle_after,
                 "workers": workers}
 
@@ -744,10 +727,7 @@ class RunScheduler:
                     pe.state = "running"
                     self._pending -= 1
                     info["current"] = pe.key
-                if self.executor == "process":
-                    worker = self._execute_in_worker(pe, info, worker)
-                else:
-                    self._execute(pe, info)
+                worker = self._execute_in_worker(pe, info, worker)
                 with self._lock:
                     info["current"] = None
         finally:
@@ -755,26 +735,6 @@ class RunScheduler:
                 worker.kill()
                 with self._lock:
                     info["pid"] = None
-
-    # The in-process executor (the measured thread baseline).
-
-    def _execute(self, pe: PointEntry, info: Dict[str, object]) -> None:
-        t0 = time.perf_counter()
-        try:
-            result = run_any_point(pe.point, cache=self.store.new_cache(),
-                                   collect=True)
-            doc = point_document(result)
-            self._retag(doc, pe)
-            self.stats.bump("points_executed")
-            info["executed"] = int(info["executed"]) + 1
-            self._finish(pe, t0, "done", document=doc)
-        except Exception as exc:
-            self.stats.bump("points_failed")
-            info["failed"] = int(info["failed"]) + 1
-            self._finish(pe, t0, "failed",
-                         error=f"{type(exc).__name__}: {exc}")
-
-    # The process-pool executor.
 
     def _execute_in_worker(self, pe: PointEntry,
                            info: Dict[str, object],
@@ -882,7 +842,7 @@ class RunScheduler:
                     raise
         raise OSError("unreachable")  # pragma: no cover
 
-    # Shared completion plumbing.
+    # Completion plumbing.
 
     @staticmethod
     def _retag(doc: dict, pe: PointEntry) -> None:
@@ -1019,8 +979,8 @@ class RunScheduler:
     def shutdown(self, timeout: float = 5.0) -> None:
         """Stop the workers (drain signal + join).
 
-        Process-executor threads kill their in-flight child rather
-        than waiting out the job; the entry is marked cancelled.
+        Worker threads kill their in-flight child rather than waiting
+        out the job; the entry is marked cancelled.
         """
         self._stop.set()
         for _ in self._workers:

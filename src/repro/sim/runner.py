@@ -589,6 +589,60 @@ class PointResult:
         return self.runs[system].cycles
 
 
+def _run_systems(systems: Sequence[str], cfg: SimConfig,
+                 recording: TraceRecording, source: str, key: str,
+                 regenerate: Callable[[], TraceRecording],
+                 cache: TraceCache, timer: Optional[PhaseTimer],
+                 collect: bool
+                 ) -> Tuple[Dict[str, SystemRun],
+                            Optional[Dict[str, Snapshot]],
+                            TraceRecording, str]:
+    """Run each named system on one shared recording.
+
+    A recording that no longer re-applies cleanly (library semantics
+    moved since it was cached) is rebuilt once with ``regenerate`` and
+    stored under ``key`` in the disk cache and the memo.  Returns
+    ``(runs, snapshots, recording, source)``; the last two are the
+    recording actually replayed and where it came from.
+    """
+    runs: Dict[str, SystemRun] = {}
+    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
+    for system in systems:
+        try:
+            build = SYSTEM_BUILDERS[system]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown system {system!r}; "
+                f"choices: {sorted(SYSTEM_BUILDERS)}"
+            ) from None
+        handle = build(cfg)
+        if timer is not None:
+            timer.start(f"run:{system}")
+        try:
+            trace = recording.replay(handle.xmemlib)
+        except StaleRecordingError:
+            recording = regenerate()
+            source = "regenerated"
+            cache.store(key, recording)
+            _memo_put(key, recording)
+            handle = build(cfg)
+            trace = recording.replay(handle.xmemlib)
+        stats = handle.run(trace)
+        if timer is not None:
+            timer.stop()
+        runs[system] = SystemRun(
+            system=system,
+            stats=stats,
+            llc_miss_rate=handle.llc.stats.miss_rate,
+            llc_accesses=handle.llc.stats.accesses,
+            dram_reads=handle.dram.stats.reads,
+            dram_row_hit_rate=handle.dram.stats.row_hit_rate,
+        )
+        if snapshots is not None:
+            snapshots[system] = handle.stats_snapshot()
+    return runs, snapshots, recording, source
+
+
 def run_point(point: SimPoint,
               cache: Optional[TraceCache] = None,
               collect: bool = False) -> PointResult:
@@ -609,44 +663,11 @@ def run_point(point: SimPoint,
         point.kernel, point.n, point.tile, instrument=True, cache=cache)
     if timer is not None:
         timer.stop()
-    runs: Dict[str, SystemRun] = {}
-    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
-    for system in point.systems:
-        try:
-            build = SYSTEM_BUILDERS[system]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown system {system!r}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}"
-            ) from None
-        handle = build(cfg)
-        if timer is not None:
-            timer.start(f"run:{system}")
-        try:
-            trace = recording.replay(handle.xmemlib)
-        except StaleRecordingError:
-            # The recording no longer re-applies cleanly (library
-            # semantics moved): regenerate once and refresh the caches.
-            recording = record_trace(point.kernel, point.n, point.tile)
-            source = "regenerated"
-            key = trace_key(point.kernel, point.n, point.tile, True)
-            cache.store(key, recording)
-            _memo_put(key, recording)
-            handle = build(cfg)
-            trace = recording.replay(handle.xmemlib)
-        stats = handle.run(trace)
-        if timer is not None:
-            timer.stop()
-        runs[system] = SystemRun(
-            system=system,
-            stats=stats,
-            llc_miss_rate=handle.llc.stats.miss_rate,
-            llc_accesses=handle.llc.stats.accesses,
-            dram_reads=handle.dram.stats.reads,
-            dram_row_hit_rate=handle.dram.stats.row_hit_rate,
-        )
-        if snapshots is not None:
-            snapshots[system] = handle.stats_snapshot()
+    key = trace_key(point.kernel, point.n, point.tile, True)
+    runs, snapshots, recording, source = _run_systems(
+        point.systems, cfg, recording, source, key,
+        lambda: record_trace(point.kernel, point.n, point.tile),
+        cache, timer, collect)
     manifest = None
     if collect:
         manifest = {
@@ -655,7 +676,7 @@ def run_point(point: SimPoint,
             "point": dataclasses.asdict(point),
             "config": dataclasses.asdict(cfg),
             "trace": {
-                "key": trace_key(point.kernel, point.n, point.tile, True),
+                "key": key,
                 "source": source,
                 "format_version": TRACE_FORMAT_VERSION,
                 # Which engine tier produced the stats: `repro diff`
@@ -926,43 +947,9 @@ def run_scenario_point(point: ScenarioPoint,
         point.spec_json, cache=cache)
     if timer is not None:
         timer.stop()
-    runs: Dict[str, SystemRun] = {}
-    snapshots: Optional[Dict[str, Snapshot]] = {} if collect else None
-    for system in point.systems:
-        try:
-            build = SYSTEM_BUILDERS[system]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown system {system!r}; "
-                f"choices: {sorted(SYSTEM_BUILDERS)}"
-            ) from None
-        handle = build(cfg)
-        if timer is not None:
-            timer.start(f"run:{system}")
-        try:
-            trace = recording.replay(handle.xmemlib)
-        except StaleRecordingError:
-            # The cached compilation predates a library change:
-            # recompile from the spec and refresh the caches.
-            recording = compile_canonical(canonical)
-            source = "regenerated"
-            cache.store(key, recording)
-            _memo_put(key, recording)
-            handle = build(cfg)
-            trace = recording.replay(handle.xmemlib)
-        stats = handle.run(trace)
-        if timer is not None:
-            timer.stop()
-        runs[system] = SystemRun(
-            system=system,
-            stats=stats,
-            llc_miss_rate=handle.llc.stats.miss_rate,
-            llc_accesses=handle.llc.stats.accesses,
-            dram_reads=handle.dram.stats.reads,
-            dram_row_hit_rate=handle.dram.stats.row_hit_rate,
-        )
-        if snapshots is not None:
-            snapshots[system] = handle.stats_snapshot()
+    runs, snapshots, recording, source = _run_systems(
+        point.systems, cfg, recording, source, key,
+        lambda: compile_canonical(canonical), cache, timer, collect)
     manifest = None
     if collect:
         scenario_block = {

@@ -581,12 +581,11 @@ class ServeLane(Lane):
     deliberately malformed requests.  ``dup`` descriptors issue the
     same POST twice *concurrently* (barrier-synchronized threads), so
     the build-once and point-dedup paths are exercised under real
-    races.  Cases drawn with the process executor also inject worker
-    faults through the ``REPRO_SERVE_TEST_*`` hooks: ``crash`` ops run
-    a scenario whose worker child exits mid-job (the point must fail,
-    the server must stay healthy) and ``cancel`` ops DELETE a run
-    whose point is stalled inside a worker (the child must die and the
-    slot free).  The oracle is the server's own contract: documented
+    races.  Every case may also inject worker faults through the
+    ``REPRO_SERVE_TEST_*`` hooks: ``crash`` ops run a scenario whose
+    worker child exits mid-job (the point must fail, the server must
+    stay healthy) and ``cancel`` ops DELETE a run whose point is
+    stalled inside a worker (the child must die and the slot free).  The oracle is the server's own contract: documented
     status codes, JSON-only bodies, build-once accounting in
     ``/debug/state``, and a clean final state (no internal errors,
     failed points exactly matching the injected crashes, drained
@@ -606,14 +605,13 @@ class ServeLane(Lane):
     SLOW_SCENARIO = ("gemver", 10, 4)
 
     def make(self, rng: random.Random, length: int) -> Tuple[dict, list]:
-        executor = rng.choice(("thread", "process"))
         ops: list = []
         for _ in range(max(1, min(length // 50, self.MAX_OPS))):
             r = rng.random()
             dup = int(rng.random() < 0.5)
-            if executor == "process" and r < 0.08:
+            if r < 0.08:
                 ops.append(("crash",))
-            elif executor == "process" and r < 0.16:
+            elif r < 0.16:
                 ops.append(("cancel",))
             elif r < 0.24:
                 ops.append(("health",))
@@ -635,8 +633,7 @@ class ServeLane(Lane):
                             rng.choice((16, 32)), dup))
             else:
                 ops.append(("bad", rng.randrange(6)))
-        params = {"workers": rng.choice((1, 2)), "queue_limit": 32,
-                  "executor": executor}
+        params = {"workers": rng.choice((1, 2)), "queue_limit": 32}
         return params, ops
 
     def fail(self, params: dict, items: list) -> Optional[str]:
@@ -648,20 +645,17 @@ class ServeLane(Lane):
         from repro.serve.app import serve
         from repro.serve.pool import CRASH_ENV, SLOW_ENV
 
-        executor = params.get("executor", "thread")
         crash_hash = _kernel_scenario_hash(*self.CRASH_SCENARIO)
         slow_hash = _kernel_scenario_hash(*self.SLOW_SCENARIO)
         # The markers must be in the environment before any worker
         # child spawns (children inherit it); scope them to this case.
         env_backup = {CRASH_ENV: os.environ.get(CRASH_ENV),
                       SLOW_ENV: os.environ.get(SLOW_ENV)}
-        if executor == "process":
-            os.environ[CRASH_ENV] = crash_hash
-            os.environ[SLOW_ENV] = f"{slow_hash}:20"
+        os.environ[CRASH_ENV] = crash_hash
+        os.environ[SLOW_ENV] = f"{slow_hash}:20"
 
         server = serve(port=0, workers=params["workers"],
-                       queue_limit=params["queue_limit"], cache_dir="off",
-                       executor=executor)
+                       queue_limit=params["queue_limit"], cache_dir="off")
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
@@ -941,9 +935,9 @@ class ServeLane(Lane):
             if doc["memo"]["entries"] > doc["memo"]["limit"]:
                 return (f"final state: memo {doc['memo']['entries']} "
                         f"entries over limit {doc['memo']['limit']}")
-            if doc["pool"]["executor"] != executor:
+            if doc["pool"]["executor"] != "process":
                 return (f"final state: pool executor "
-                        f"{doc['pool']['executor']!r} != {executor!r}")
+                        f"{doc['pool']['executor']!r} != 'process'")
             status, health = call("GET", "/health")
             if status != 200 or health is None \
                     or health["status"] != "ok":

@@ -90,6 +90,26 @@ class TestScenarioPoint:
         assert hot.manifest["trace"]["source"] == "disk"
         assert cold.stats == hot.stats
 
+    def test_stale_recording_recompiles(self, disk_cache):
+        """A cached compilation whose setup log no longer applies is
+        recompiled from the spec and stored back."""
+        point = example_point()
+        reference = run_scenario_point(point, cache=disk_cache,
+                                       collect=True)
+        key = scenario_trace_key(point.scenario_hash)
+        recording = disk_cache.load(key)
+        method, args, kwargs, _ = recording.setup[0]
+        recording.setup[0] = (method, args, kwargs, 9999)
+        disk_cache.store(key, recording)
+        runner_mod._MEMO.clear()
+        again = run_scenario_point(point, cache=disk_cache, collect=True)
+        assert again.manifest["trace"]["source"] == "regenerated"
+        assert again.manifest["scenario"] == reference.manifest["scenario"]
+        assert again.stats == reference.stats
+        runner_mod._MEMO.clear()
+        healed = run_scenario_point(point, cache=disk_cache, collect=True)
+        assert healed.manifest["trace"]["source"] == "disk"
+
     def test_run_any_point_dispatch(self, disk_cache):
         direct = run_scenario_point(example_point(), cache=disk_cache)
         routed = run_any_point(example_point(), cache=disk_cache)

@@ -1,8 +1,4 @@
-"""Shared helpers for the serve test suites (pool/workspace/progress).
-
-``test_serve.py`` predates these and carries its own copies; new serve
-suites import from here.
-"""
+"""Shared helpers for the serve test suites."""
 
 from __future__ import annotations
 
@@ -29,10 +25,15 @@ def stop_server(srv, thread):
     thread.join(timeout=10)
 
 
-def call(server, method, path, body=None):
-    """One request against an in-process server: ``(status, doc)``."""
+def call(server, method, path, body=None, raw=None):
+    """One request against an in-process server: ``(status, doc)``.
+
+    ``raw`` sends those bytes as the body verbatim (junk-body tests).
+    """
     host, port = server.server_address[:2]
-    payload = json.dumps(body).encode() if body is not None else None
+    payload = raw
+    if payload is None and body is not None:
+        payload = json.dumps(body).encode()
     conn = http.client.HTTPConnection(host, port, timeout=60)
     try:
         conn.request(method, path, body=payload,

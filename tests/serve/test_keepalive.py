@@ -25,7 +25,7 @@ BUDGET_S = 0.4
 
 @pytest.fixture
 def server():
-    srv, thread = boot_server(workers=1, executor="thread")
+    srv, thread = boot_server(workers=1)
     yield srv
     stop_server(srv, thread)
 

@@ -1,11 +1,10 @@
-"""The process-pool executor: parity, recycling, crash isolation,
-in-flight cancel, and the per-run engine knob.
+"""The process pool: parity, recycling, crash isolation, in-flight
+cancel, and the per-run engine knob.
 
-Everything here boots ``executor="process"`` -- the pieces the thread
-executor cannot do (true parallelism aside): a crashed worker failing
-only its point, a cancelled in-flight point freeing its pool slot
-immediately, and per-point ``REPRO_ENGINE`` overrides scoped inside a
-child process.
+What a pool of worker processes adds over in-process execution (true
+parallelism aside): a crashed worker failing only its point, a
+cancelled in-flight point freeing its pool slot immediately, and
+per-point ``REPRO_ENGINE`` overrides scoped inside a child process.
 
 Fault injection rides the two ``REPRO_SERVE_TEST_*`` environment
 variables from :mod:`repro.serve.pool`; they are set *before* the
@@ -33,7 +32,7 @@ def _hash(kernel, n=48, tile=16):
 @pytest.fixture
 def pool_server():
     """One-worker process-pool server (deterministic dispatch order)."""
-    srv, thread = boot_server(workers=1, executor="process")
+    srv, thread = boot_server(workers=1)
     yield srv
     stop_server(srv, thread)
 
@@ -79,8 +78,7 @@ class TestRecycling:
     """A child retires after ``recycle_after`` jobs; no point is lost."""
 
     def test_pid_changes_after_recycle_and_no_point_lost(self):
-        srv, thread = boot_server(workers=1, executor="process",
-                                  recycle_after=2)
+        srv, thread = boot_server(workers=1, recycle_after=2)
         try:
             h = kernel_scenario(srv)
 
@@ -126,7 +124,7 @@ class TestCrashIsolation:
 
     def test_crash_fails_one_point_not_the_run_sibling(self, monkeypatch):
         monkeypatch.setenv(CRASH_ENV, _hash("jacobi2d"))
-        srv, thread = boot_server(workers=1, executor="process")
+        srv, thread = boot_server(workers=1)
         try:
             good = kernel_scenario(srv, "mvt")
             bad = kernel_scenario(srv, "jacobi2d")
@@ -165,7 +163,7 @@ class TestInFlightCancel:
 
     def test_cancel_kills_the_running_point(self, monkeypatch):
         monkeypatch.setenv(SLOW_ENV, f"{_hash('gemver')}:30")
-        srv, thread = boot_server(workers=1, executor="process")
+        srv, thread = boot_server(workers=1)
         try:
             slow = kernel_scenario(srv, "gemver")
             fast = kernel_scenario(srv, "mvt")
@@ -236,18 +234,3 @@ class TestPerRunEngine:
                             "configs": [{"engine": "warp"}]})
         assert status == 400
         assert "unknown engine" in doc["error"]
-
-    def test_thread_executor_rejects_engine_overrides(self):
-        srv, thread = boot_server(workers=1, executor="thread")
-        try:
-            h = kernel_scenario(srv)
-            status, doc = call(srv, "POST", "/v1/runs",
-                               {"scenario": h,
-                                "configs": [{"engine": "vector"}]})
-            assert status == 400
-            assert "process executor" in doc["error"]
-            # Engine-free configs still run fine.
-            final = wait_run(srv, submit_run(srv, h))
-            assert final["status"] == "done"
-        finally:
-            stop_server(srv, thread)

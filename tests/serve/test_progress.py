@@ -2,10 +2,9 @@
 
 The completion event log is append-only and completion-ordered: a
 client that remembers the ``next`` counter sees every point exactly
-once, in the order they finished, across any number of polls.  The
-thread executor keeps these deterministic and fast; SLOW-hash fault
-injection (process executor) gives the long-poll something to
-actually wait on.
+once, in the order they finished, across any number of polls.
+SLOW-hash fault injection stalls a point inside its worker process,
+which gives the long-poll something to actually wait on.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class TestSincePolling:
         slow = ScenarioSpec(kind="kernel", workload="gemver",
                             n=48, tile=16).scenario_hash
         monkeypatch.setenv(SLOW_ENV, f"{slow}:1.5")
-        srv, thread = boot_server(workers=1, executor="process")
+        srv, thread = boot_server(workers=1)
         try:
             kernel_scenario(srv, "gemver")
             rid = submit_run(srv, slow)

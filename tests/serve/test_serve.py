@@ -20,85 +20,29 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.cpu.tiers import ENGINE_TIERS, resolve_engine_tier
-from repro.serve.app import ServerState, serve
+from repro.serve.app import ServerState
 from repro.serve.jobs import config_hash, normalize_config
 from repro.serve.scenarios import ScenarioEntry, ScenarioSpec
 from repro.sim import runner
 from repro.sim.runner import SimPoint, TraceCache, point_document, run_point
 
-
-def call(server, method, path, body=None, raw=None):
-    """One request against an in-process server: ``(status, doc)``."""
-    host, port = server.server_address[:2]
-    payload = raw
-    if payload is None and body is not None:
-        payload = json.dumps(body).encode()
-    conn = http.client.HTTPConnection(host, port, timeout=60)
-    try:
-        conn.request(method, path, body=payload,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        status = resp.status
-    finally:
-        conn.close()
-    return status, json.loads(data)
-
-
-def wait_run(server, run_id, timeout=60.0):
-    """Poll one run to a terminal state; returns the final document.
-
-    When the run has an ``out_dir``, also waits for the ``written``
-    count (the server withholds it until the files are flushed).
-    """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, doc = call(server, "GET", f"/v1/runs/{run_id}")
-        assert status == 200
-        if doc["status"] in ("done", "failed", "cancelled") and (
-                "out_dir" not in doc or "written" in doc
-                or doc["status"] != "done"):
-            return doc
-        time.sleep(0.02)
-    raise AssertionError(f"{run_id} still {doc['status']!r} "
-                         f"after {timeout}s")
-
-
-def boot(**kwargs):
-    """A serving server plus its serve_forever thread.
-
-    Defaults to the thread executor: these tests exercise the HTTP
-    surface and scheduler semantics, where in-process execution is
-    fast and deterministic.  The process pool has its own suite
-    (test_pool.py / test_workspace.py) booting with
-    ``executor="process"``.
-    """
-    kwargs.setdefault("cache_dir", "off")
-    kwargs.setdefault("executor", "thread")
-    srv = serve(port=0, **kwargs)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    return srv, thread
+from .conftest import boot_server, call, stop_server, wait_run
 
 
 @pytest.fixture
 def server():
     """A two-worker server with the disk trace cache off."""
-    srv, thread = boot(workers=2)
+    srv, thread = boot_server(workers=2)
     yield srv
-    srv.shutdown()
-    srv.close()
-    thread.join(timeout=10)
+    stop_server(srv, thread)
 
 
 @pytest.fixture
 def idle_server():
     """Workers=0, queue_limit=1: points stay pending, bounds are tiny."""
-    srv, thread = boot(workers=0, queue_limit=1)
+    srv, thread = boot_server(workers=0, queue_limit=1)
     yield srv
-    srv.shutdown()
-    srv.close()
-    thread.join(timeout=10)
+    stop_server(srv, thread)
 
 
 SCENARIO = {"kernel": "mvt", "n": 8, "tile": 4}
@@ -466,7 +410,7 @@ class TestOutDirPolicy:
         assert ".." in doc["error"]
 
     def test_out_root_rejects_absolute_paths(self, tmp_path):
-        srv, thread = boot(workers=0, out_root=str(tmp_path))
+        srv, thread = boot_server(workers=0, out_root=str(tmp_path))
         try:
             _, sdoc = call(srv, "POST", "/v1/scenarios", SCENARIO)
             status, doc = call(srv, "POST", "/v1/runs",
@@ -476,12 +420,10 @@ class TestOutDirPolicy:
             assert status == 400
             assert "out-root" in doc["error"]
         finally:
-            srv.shutdown()
-            srv.close()
-            thread.join(timeout=10)
+            stop_server(srv, thread)
 
     def test_out_root_confines_writes(self, tmp_path):
-        srv, thread = boot(workers=2, out_root=str(tmp_path))
+        srv, thread = boot_server(workers=2, out_root=str(tmp_path))
         try:
             _, sdoc = call(srv, "POST", "/v1/scenarios", SCENARIO)
             status, rdoc = call(srv, "POST", "/v1/runs",
@@ -495,9 +437,7 @@ class TestOutDirPolicy:
             name = final["names"][0]
             assert (tmp_path / "sub" / "run" / name).is_file()
         finally:
-            srv.shutdown()
-            srv.close()
-            thread.join(timeout=10)
+            stop_server(srv, thread)
 
     def test_resolve_out_dir_unit(self, tmp_path):
         from repro.serve.app import resolve_out_dir

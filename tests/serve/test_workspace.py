@@ -1,9 +1,8 @@
 """The disk-backed artifact workspace: persistence, restart recovery,
 byte identity, TTL + size eviction, and the resumable-run story.
 
-HTTP-level tests here boot the thread executor -- workspace behavior
-is executor-independent and in-process execution keeps them fast; the
-pool suite covers the process side.
+HTTP-level tests here boot the process pool (serve's only executor);
+worker recycling, crashes and cancels are covered by the pool suite.
 """
 
 from __future__ import annotations

@@ -174,19 +174,28 @@ class TestServeCommand:
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--workers", "4",
              "--queue-limit", "8", "--cache-dir", "off",
-             "--executor", "thread", "--recycle-after", "5",
+             "--recycle-after", "5",
              "--workspace", "/tmp/ws", "--workspace-ttl", "60",
              "--workspace-limit-mb", "1", "--verbose"])
         assert args.port == 0
         assert args.workers == 4
         assert args.queue_limit == 8
         assert args.cache_dir == "off"
-        assert args.executor == "thread"
         assert args.recycle_after == 5
         assert args.workspace == "/tmp/ws"
         assert args.workspace_ttl == 60.0
         assert args.workspace_limit_mb == 1
         assert args.verbose is True
+
+    def test_executor_flag_accepts_only_process(self, capsys):
+        # Benchmark drivers still spell out --executor process.
+        args = build_parser().parse_args(["serve", "--executor",
+                                          "process"])
+        assert args.executor == "process"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--executor", "thread"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_bind_failure_exits_two(self, capsys):
         import socket
